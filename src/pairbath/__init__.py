@@ -14,16 +14,16 @@ from .config import (ConfigError, RunConfig, build_block, build_initial,
 from .entanglement import (GenerationVerdict, concurrence, concurrence_closed,
                            generation_test, partial_transpose)
 from .generator import (IntegrationAccuracyError, Trajectory,
-                        diagonal_form_check, evolve, evolve_general,
-                        rate_scale, rhs_components, rhs_equal_blocks,
-                        rhs_general)
+                        compile_generator, diagonal_form_check, evolve,
+                        evolve_general, rate_scale, rhs_components,
+                        rhs_equal_blocks, rhs_general)
 from .pauli_algebra import (PauliCoefficients, build_basis,
                             check_appendix_algebra, check_density_matrix,
                             convert, levi_civita, tau_of)
 from .steady_state import (ClosedFormNotApplicable, EquilibriumState,
                            StationaryFamily, asymptotic_state, commutant_check,
                            equilibrium_components, liouvillian_null_space,
-                           stationary_family)
+                           stationary_family, stationary_member)
 
 __version__ = "0.1.0"
 
@@ -34,13 +34,13 @@ __all__ = [
     "parse_config", "product_state", "run_seed", "serialize", "werner_state",
     "GenerationVerdict", "concurrence", "concurrence_closed",
     "generation_test", "partial_transpose",
-    "IntegrationAccuracyError", "Trajectory", "diagonal_form_check", "evolve",
-    "evolve_general", "rate_scale", "rhs_components", "rhs_equal_blocks",
-    "rhs_general",
+    "IntegrationAccuracyError", "Trajectory", "compile_generator",
+    "diagonal_form_check", "evolve", "evolve_general", "rate_scale",
+    "rhs_components", "rhs_equal_blocks", "rhs_general",
     "PauliCoefficients", "build_basis", "check_appendix_algebra",
     "check_density_matrix", "convert", "levi_civita", "tau_of",
     "ClosedFormNotApplicable", "EquilibriumState", "StationaryFamily",
     "asymptotic_state", "commutant_check", "equilibrium_components",
-    "liouvillian_null_space", "stationary_family",
+    "liouvillian_null_space", "stationary_family", "stationary_member",
     "__version__",
 ]

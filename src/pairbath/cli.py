@@ -17,9 +17,10 @@ from .config import (ConfigError, build_block, build_initial, load_config,
                      werner_state)
 from .entanglement import concurrence, concurrence_closed
 from .generator import IntegrationAccuracyError, evolve
-from .pauli_algebra import PauliCoefficients, convert, tau_of
+from .pauli_algebra import PauliCoefficients, tau_of
 from .steady_state import (ClosedFormNotApplicable, equilibrium_components,
-                           liouvillian_null_space, stationary_family)
+                           liouvillian_null_space, stationary_family,
+                           stationary_member)
 
 COEFF_COLUMNS = [f"r{a}{b}" for a in range(4) for b in range(4) if (a, b) != (0, 0)]
 TRAJECTORY_HEADER = "t,tau,trace_err,min_pt_eig,concurrence," + ",".join(COEFF_COLUMNS)
@@ -65,20 +66,6 @@ def cmd_evolve(config_path, out_path):
     return 0
 
 
-def _tau_line_member(block, tau):
-    """Stationary state at correlation trace tau from the numerical oracle."""
-    sol = liouvillian_null_space(block)
-    if sol["dimension"] != 1 or sol["full_rank_member"] is None:
-        return None, sol
-    d = sol["basis"][0]
-    tau_d = d[6] + d[10] + d[14]
-    if abs(tau_d) < 1e-8:
-        return None, sol
-    base = convert(sol["full_rank_member"])
-    vec = base.as_vector() + (tau - tau_of(base)) / tau_d * d
-    return convert(PauliCoefficients.from_vector(vec)), sol
-
-
 def cmd_steady(config_path, numeric_only=False):
     """Print the equilibrium report for the configured bath and initial state."""
     cfg = load_config(config_path)
@@ -90,7 +77,8 @@ def cmd_steady(config_path, numeric_only=False):
     except ClosedFormNotApplicable:
         if not numeric_only:
             raise
-        member, sol = _tau_line_member(block, tau0)
+        sol = liouvillian_null_space(block)
+        member = stationary_member(sol, tau0)
         report = {"closed_form_applicable": False,
                   "tau": tau0,
                   "nullspace": {"dimension": sol["dimension"],
@@ -102,7 +90,8 @@ def cmd_steady(config_path, numeric_only=False):
 
     closed = concurrence_closed(fam.M, fam.R, tau0)
     eq = equilibrium_components(tau0, fam)
-    member, sol = _tau_line_member(block, tau0)
+    sol = liouvillian_null_space(block)
+    member = stationary_member(sol, tau0)
     residual = (None if member is None
                 else float(np.abs(member - eq.state).max()))
     report = {"closed_form_applicable": True,

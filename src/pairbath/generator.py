@@ -2,10 +2,12 @@
 
 Three representations of the same map are kept deliberately separate so they
 can cross-check each other: the matrix form over the collective operators,
-the 15 coupled component equations (the production path), and the diagonal
-form through the square root of the bath block.  A fourth, fully general
-form accepts an arbitrary 6x6 PSD coefficient matrix and serves as the
-oracle for the equal-block specialization.
+the 15 coupled component equations, and the diagonal form through the
+square root of the bath block.  A fourth, fully general form accepts an
+arbitrary 6x6 PSD coefficient matrix and serves as the oracle for the
+equal-block specialization.  The production path compiles the component
+equations once into their affine form (`compile_generator`), which both
+`evolve` and the null-space solver use.
 """
 
 from dataclasses import dataclass
@@ -69,6 +71,20 @@ def rhs_components(state, block):
     dij += (4 * (At * tau - float(np.sum(A * rij.T)))
             - 2 * float(B @ (r0 + r1))) * np.eye(3)
     return PauliCoefficients(d0, d1, dij)
+
+
+def compile_generator(block):
+    """15x15 matrix L and offset c0 with d(coeffs)/dt = L coeffs + c0.
+
+    The component equations are affine in the 15 coefficients, so 16
+    evaluations of `rhs_components` (at zero and at each unit vector) give
+    the whole map.  This is the only production form of the generator.
+    """
+    c0 = rhs_components(PauliCoefficients.zero(), block).as_vector()
+    L = np.empty((15, 15))
+    for k, e in enumerate(np.eye(15)):
+        L[:, k] = rhs_components(PauliCoefficients.from_vector(e), block).as_vector() - c0
+    return L, c0
 
 
 def rhs_general(state, C):
@@ -141,15 +157,37 @@ def _rk4_step(x, dt, deriv):
     return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def _rk4_step_matrix(L, c0, dt):
+    """One RK4 step of dc/dt = L c + c0 as a 16x16 matrix acting on [c, 1].
+
+    For an affine right-hand side the four RK4 stages collapse to the
+    degree-4 Taylor polynomial of the augmented generator G = [[L, c0], [0, 0]],
+    so applying this matrix is the same arithmetic as `_rk4_step`.
+    """
+    G = np.zeros((16, 16))
+    G[:15, :15] = L
+    G[:15, 15] = c0
+    hG = dt * G
+    P = term = np.eye(16)
+    for k in range(1, 5):
+        term = term @ hG / k
+        P = P + term
+    return P
+
+
 def evolve(initial, block, t_end=None, dt=None, sample_every=10):
     """Integrate the component equations with fixed-step fourth-order steps.
 
     Defaults: dt = 0.01 / rate_scale, t_end = 50 / rate_scale, so the horizon
     and resolution follow the fastest rate in the block.  Samples are taken
-    every `sample_every` steps plus the final time.  The trace is structurally
-    conserved by the component representation; trace_err reports the
-    reconstruction deviation as an integrator-health diagnostic.  A sampled
-    state with an eigenvalue below -1e-7 aborts with a suggestion to reduce dt.
+    every `sample_every` steps plus the final time.  The generator is
+    compiled once and RK4 is applied as one 16x16 step matrix; the stride
+    between samples is its `sample_every`-th power, so positivity is checked
+    at the sampled states.  The trace is structurally conserved by the
+    component representation; trace_err reports the reconstruction deviation
+    as an integrator-health diagnostic.  A sampled state with a non-finite
+    coefficient or an eigenvalue below -1e-7 aborts with a suggestion to
+    reduce dt.
     """
     from .entanglement import concurrence as _concurrence
     from .entanglement import partial_transpose as _partial_transpose
@@ -164,16 +202,17 @@ def evolve(initial, block, t_end=None, dt=None, sample_every=10):
     if sample_every < 1:
         raise ValueError("sample_every must be at least 1")
 
-    def deriv(v):
-        return rhs_components(PauliCoefficients.from_vector(v), block).as_vector()
-
     n_steps = int(round(t_end / dt))
-    x = initial.as_vector()
+    step = _rk4_step_matrix(*compile_generator(block), dt)
+    y = np.append(initial.as_vector(), 1.0)
     times, states = [], []
     taus, trace_errs, pt_eigs, concs = [], [], [], []
 
-    def record(t, v):
-        c = PauliCoefficients.from_vector(v)
+    def record(t, y):
+        if not np.isfinite(y).all():
+            raise IntegrationAccuracyError(
+                f"non-finite state coefficients at t={t:.6g}; reduce dt")
+        c = PauliCoefficients.from_vector(y[:15])
         mat = convert(c)
         min_eig = float(np.linalg.eigvalsh(mat).min())
         if min_eig < -1e-7:
@@ -186,11 +225,19 @@ def evolve(initial, block, t_end=None, dt=None, sample_every=10):
         pt_eigs.append(_partial_transpose(mat)[1])
         concs.append(_concurrence(mat))
 
-    record(0.0, x)
-    for step in range(1, n_steps + 1):
-        x = _rk4_step(x, dt, deriv)
-        if step % sample_every == 0 or step == n_steps:
-            record(step * dt, x)
+    record(0.0, y)
+    n_strides, rest = divmod(n_steps, sample_every)
+    # an unstable step overflows; record() reports it as non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        stride = np.linalg.matrix_power(step, sample_every)
+    for k in range(1, n_strides + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = stride @ y
+        record(k * sample_every * dt, y)
+    if rest:
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = np.linalg.matrix_power(step, rest) @ y
+        record(n_steps * dt, y)
 
     return Trajectory(times=np.array(times), states=states,
                       tau=np.array(taus), trace_err=np.array(trace_errs),

@@ -13,11 +13,11 @@ from .config import run_seed
 from .entanglement import concurrence, generation_test, partial_transpose
 from .generator import (diagonal_form_check, evolve, evolve_general,
                         rhs_components, rhs_equal_blocks, rhs_general)
-from .pauli_algebra import (BIG_SIGMA, IDENT2, P_SINGLET, PauliCoefficients,
-                            SIGMA, check_appendix_algebra, convert, tau_of)
+from .pauli_algebra import (BIG_SIGMA, IDENT2, P_SINGLET, SIGMA,
+                            check_appendix_algebra, convert, tau_of)
 from .steady_state import (asymptotic_state, commutant_check,
                            equilibrium_components, liouvillian_null_space,
-                           stationary_family)
+                           stationary_family, stationary_member)
 
 
 def random_state(rng, rank=4):
@@ -128,16 +128,12 @@ def suite_nullspace_oracle(rng):
             return False, f"dimension {sol['dimension']} != 1 at interior bath"
         if sol["full_rank_member"] is None:
             return False, "no full-rank member found at interior bath"
-        d = sol["basis"][0]
-        tau_d = d[6] + d[10] + d[14]
-        part = convert(sol["full_rank_member"])
-        vec = part.as_vector()
-        tau_p = tau_of(part)
         for tau in (-2.5, 0.0, 0.9):
-            member = vec + (tau - tau_p) / tau_d * d
+            member = stationary_member(sol, tau)
+            if member is None:
+                return False, "stationary line does not move tau at interior bath"
             eq = equilibrium_components(tau, fam)
-            worst = max(worst, float(np.abs(
-                convert(PauliCoefficients.from_vector(member)) - eq.state).max()))
+            worst = max(worst, float(np.abs(member - eq.state).max()))
     return worst < 1e-9, f"max oracle-vs-closed-form deviation {worst:.2e}"
 
 

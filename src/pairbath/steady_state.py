@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import principal_frame
-from .generator import rhs_components
+from .generator import compile_generator
 from .pauli_algebra import (BIG_SIGMA, P_SINGLET, PauliCoefficients,
                             Q_TRIPLET, S_TOTAL, convert, tau_of)
 
@@ -138,18 +138,6 @@ def asymptotic_state(initial, family):
     return EquilibriumState(tau=eq.tau, components=eq.components, state=rho_hat)
 
 
-def _affine_system(block):
-    """15x15 matrix L and offset c0 with d(coeffs)/dt = L coeffs + c0."""
-    zero = PauliCoefficients.zero()
-    c0 = rhs_components(zero, block).as_vector()
-    L = np.empty((15, 15))
-    for k in range(15):
-        e = np.zeros(15)
-        e[k] = 1.0
-        L[:, k] = rhs_components(PauliCoefficients.from_vector(e), block).as_vector() - c0
-    return L, c0
-
-
 def _min_eig(vec):
     return float(np.linalg.eigvalsh(convert(PauliCoefficients.from_vector(vec))).min())
 
@@ -177,7 +165,7 @@ def liouvillian_null_space(block, rank_tol=1e-10):
     over the set.  The full-rank member is None when the search fails, which
     is expected exactly at boundary blocks.
     """
-    L, c0 = _affine_system(block)
+    L, c0 = compile_generator(block)
     U, s, Vt = np.linalg.svd(L)
     cutoff = rank_tol * (s[0] if s[0] > 0 else 1.0)
     null_dirs = [Vt[k] for k in range(15) if s[k] <= cutoff]
@@ -210,6 +198,25 @@ def liouvillian_null_space(block, rank_tol=1e-10):
     return {"dimension": len(null_dirs),
             "basis": null_dirs,
             "full_rank_member": convert(PauliCoefficients.from_vector(member)) if ok else None}
+
+
+def stationary_member(sol, tau):
+    """Stationary state at correlation trace tau from the numerical oracle.
+
+    Moves the full-rank member of the `liouvillian_null_space` result `sol`
+    along its one-dimensional stationary line to the requested tau.  Returns
+    None when the line is not one-dimensional, has no full-rank member, or
+    does not move tau.
+    """
+    if sol["dimension"] != 1 or sol["full_rank_member"] is None:
+        return None
+    d = sol["basis"][0]
+    tau_d = d[6] + d[10] + d[14]
+    if abs(tau_d) < 1e-8:
+        return None
+    base = convert(sol["full_rank_member"])
+    vec = base.as_vector() + (tau - tau_of(base)) / tau_d * d
+    return convert(PauliCoefficients.from_vector(vec))
 
 
 def commutant_check(block):

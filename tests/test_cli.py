@@ -234,6 +234,18 @@ def test_evolve_unstable_exit_2(tmp_path, capsys):
     assert "reduce dt" in capsys.readouterr().err
 
 
+def test_evolve_overflow_exit_2(tmp_path, capsys):
+    # a thousand unstable steps in one stride overflow the coefficients
+    cfg = write_config(tmp_path, {
+        "bath": {"lambda": [5, 5, 5], "B": [0, 0, 0]},
+        "initial": {"product": {"phi": [1, 0], "psi": [0, 1]}},
+        "integrator": {"t_end": 900.0, "dt": 0.9, "sample_every": 10 ** 6}})
+    assert cli.main(["evolve", "--config", cfg,
+                     "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "reduce dt" in err
+
+
 # ------------------------------------------------------------------ steady
 
 def test_steady_report(tmp_path, capsys):

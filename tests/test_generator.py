@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pairbath.bath import assemble_full_C, make_bath
-from pairbath.generator import (IntegrationAccuracyError, diagonal_form_check,
-                                evolve, evolve_general, rate_scale,
-                                rhs_components, rhs_equal_blocks, rhs_general)
+from pairbath.generator import (IntegrationAccuracyError, _rk4_step,
+                                diagonal_form_check, evolve, evolve_general,
+                                rate_scale, rhs_components, rhs_equal_blocks,
+                                rhs_general)
 from pairbath.pauli_algebra import (P_SINGLET, PauliCoefficients, convert,
                                     tau_of)
 
@@ -82,6 +83,47 @@ def test_evolve_sampling_grid(rng):
     tr2 = evolve(convert(random_state(rng)), blk, t_end=1.0, dt=0.01,
                  sample_every=7)
     assert np.isclose(tr2.times[-1], 1.0)
+
+
+def _stepwise_rk4(initial, block, n_steps, dt, sample_every):
+    """Reference integrator: four rhs_components calls per RK4 step."""
+    def deriv(v):
+        return rhs_components(PauliCoefficients.from_vector(v), block).as_vector()
+
+    x = initial.as_vector()
+    times, samples = [0.0], [x]
+    for step in range(1, n_steps + 1):
+        x = _rk4_step(x, dt, deriv)
+        if step % sample_every == 0 or step == n_steps:
+            times.append(step * dt)
+            samples.append(x)
+    return np.array(times), np.array(samples)
+
+
+@pytest.mark.parametrize("sample_every", [1, 7, 100, 10 ** 6])
+def test_evolve_matches_stepwise_rk4(rng, sample_every):
+    # 703 steps: neither 7 nor 100 divides it, so the last stride is partial
+    dt, n_steps = 0.01, 703
+    for blk in (random_aligned_bath(rng), random_offaxis_bath(rng)):
+        initial = convert(random_state(rng))
+        tr = evolve(initial, blk, t_end=n_steps * dt, dt=dt,
+                    sample_every=sample_every)
+        times, samples = _stepwise_rk4(initial, blk, n_steps, dt, sample_every)
+        assert np.array_equal(tr.times, times)
+        got = np.array([c.as_vector() for c in tr.states])
+        assert np.abs(got - samples).max() <= 1e-12
+
+
+def test_evolve_compiles_generator_once(rng, monkeypatch):
+    calls = []
+
+    def counting(state, block):
+        calls.append(1)
+        return rhs_components(state, block)
+
+    monkeypatch.setattr("pairbath.generator.rhs_components", counting)
+    evolve(convert(random_state(rng)), random_aligned_bath(rng))
+    assert len(calls) <= 16
 
 
 def test_evolve_default_horizon_scales(rng):
