@@ -26,7 +26,7 @@ def measure(block, family, s):
     c0 = concurrence(convert(start))
     closed = concurrence_closed(family.M, family.R, tau_of(start))
     trajectory = evolve(start, block, sample_every=10 ** 6)
-    c_inf = concurrence(convert(trajectory.states[-1]))
+    c_inf = trajectory.concurrence[-1]
     predicted = 2 * s * (1 - (2 + closed["Delta"]) / (3 + 2 * family.R))
     # the linear prediction describes the regime where neither endpoint
     # clamps to zero (2s <= 1 keeps C0 = 1 - 2s unclamped; an entangled

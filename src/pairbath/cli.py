@@ -29,23 +29,14 @@ COEFF_COMMENT = ("# r{a}{b} = coefficient of sigma_a x sigma_b "
 SWEEP_HEADER = "value,c_closed,c_evolved,delta_c"
 
 
+# PauliCoefficients.as_vector index of each entry of COEFF_COLUMNS
+_COEFF_ORDER = [0, 1, 2, 3, 6, 7, 8, 4, 9, 10, 11, 5, 12, 13, 14]
+_TRAJECTORY_ROW = ",".join(["{:.15g}"] * (5 + len(COEFF_COLUMNS))) + "\n"
+_ROWS_PER_WRITE = 256
+
+
 def _fmt(x):
     return f"{x:.15g}"
-
-
-def _coeff_row(coeffs):
-    vals = []
-    for a in range(4):
-        for b in range(4):
-            if (a, b) == (0, 0):
-                continue
-            if a == 0:
-                vals.append(coeffs.r0i[b - 1])
-            elif b == 0:
-                vals.append(coeffs.ri0[a - 1])
-            else:
-                vals.append(coeffs.rij[a - 1, b - 1])
-    return vals
 
 
 def cmd_evolve(config_path, out_path):
@@ -56,13 +47,15 @@ def cmd_evolve(config_path, out_path):
     tr = evolve(initial, block,
                 t_end=cfg.integrator["t_end"], dt=cfg.integrator["dt"],
                 sample_every=cfg.integrator["sample_every"])
+    coeffs = np.array([c.as_vector() for c in tr.states])[:, _COEFF_ORDER]
+    table = np.column_stack([tr.times, tr.tau, tr.trace_err, tr.min_pt_eig,
+                             tr.concurrence, coeffs])
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(COEFF_COMMENT + "\n")
         fh.write(TRAJECTORY_HEADER + "\n")
-        for k in range(len(tr.times)):
-            row = [tr.times[k], tr.tau[k], tr.trace_err[k],
-                   tr.min_pt_eig[k], tr.concurrence[k]] + _coeff_row(tr.states[k])
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for lo in range(0, len(table), _ROWS_PER_WRITE):
+            rows = table[lo:lo + _ROWS_PER_WRITE]
+            fh.write((_TRAJECTORY_ROW * len(rows)).format(*rows.ravel().tolist()))
     return 0
 
 

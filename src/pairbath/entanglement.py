@@ -1,11 +1,16 @@
 """Entanglement measures and the first-order generation witness.
 
 The numerical concurrence is computed through singular values of
-sqrt(rho) sqrt(rho_tilde), which stays accurate at the rank-deficient
-states the dynamics actually produces; the eigenvalue route loses half the
-working digits there.  The closed-form evaluator mirrors the asymptotic
-formula for baths with two equal smaller rates and is written so that the
-singlet input returns exactly 1.0.
+sqrt(rho) sqrt(rho_tilde).  At rank-deficient states it has an absolute
+floor of about 1e-8: the square root turns rounding of order 1e-17 in a
+zero eigenvalue into an error of order 1e-8.5, so pure product states
+(true C = 0) return values up to about 2e-8.  The closed-form evaluator
+mirrors the asymptotic formula for baths with two equal smaller rates and
+is written so that the singlet input returns exactly 1.0.
+
+`partial_transpose` and `concurrence` accept one 4x4 matrix or a stack of
+shape (..., 4, 4).  One matrix gives Python floats; a stack gives arrays
+whose entries equal, bit for bit, the results for each matrix alone.
 """
 
 from dataclasses import dataclass
@@ -16,6 +21,14 @@ from .pauli_algebra import SIGMA
 
 _YY = np.kron(SIGMA[1], SIGMA[1]).real  # sigma_y x sigma_y is real
 
+# Smallest eigenvalue a state may show from rounding alone; below it a
+# matrix is not a state (`concurrence` raises, `evolve` aborts).
+STATE_EIG_FLOOR = -1e-8
+
+
+def _float_or_array(x):
+    return float(x) if x.ndim == 0 else x
+
 
 def partial_transpose(mat):
     """Transpose on the second factor; returns (matrix, smallest eigenvalue).
@@ -24,15 +37,17 @@ def partial_transpose(mat):
     converse holds as well.
     """
     mat = np.asarray(mat, dtype=complex)
-    pt = mat.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-    return pt, float(np.linalg.eigvalsh(pt).min())
+    pt = (mat.reshape(mat.shape[:-2] + (2, 2, 2, 2))
+          .swapaxes(-3, -1).reshape(mat.shape))
+    return pt, _float_or_array(np.linalg.eigvalsh(pt).min(axis=-1))
 
 
-def _psd_sqrt(mat, floor=-1e-8):
+def _psd_sqrt(mat, floor=STATE_EIG_FLOOR):
     w, U = np.linalg.eigh(mat)
     if w.min() < floor:
         raise ValueError(f"matrix has eigenvalue {w.min():.3e}, not a state")
-    return (U * np.sqrt(np.clip(w, 0.0, None))) @ U.conj().T
+    root = np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    return (U * root) @ U.conj().swapaxes(-1, -2)
 
 
 def concurrence(mat):
@@ -40,13 +55,16 @@ def concurrence(mat):
 
     Uses mu = singular values of sqrt(rho) sqrt(rho_spin_flipped); these are
     the canonical eigenvalue roots, but the singular-value route avoids the
-    square-root-of-noisy-eigenvalue amplification near zero modes.
+    square-root-of-noisy-eigenvalue amplification near zero modes.  The
+    square roots still leave an absolute floor of about 1e-8 at
+    rank-deficient states: a pure product state returns up to about 2e-8.
     """
     mat = np.asarray(mat, dtype=complex)
     tilde = _YY @ mat.conj() @ _YY
     prod = _psd_sqrt(mat) @ _psd_sqrt(tilde)
     mu = np.linalg.svd(prod, compute_uv=False)
-    return float(max(0.0, mu[0] - mu[1] - mu[2] - mu[3]))
+    c = np.maximum(0.0, mu[..., 0] - mu[..., 1] - mu[..., 2] - mu[..., 3])
+    return _float_or_array(c)
 
 
 def concurrence_closed(M, R, tau, tol=1e-9):

@@ -14,13 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .entanglement import STATE_EIG_FLOOR, concurrence, partial_transpose
 from .pauli_algebra import (BIG_SIGMA, IDENT2, PauliCoefficients, SIGMA,
-                            convert, tau_of)
+                            assemble_matrices)
 
 # cached products Sigma_i Sigma_j for the anticommutator terms
 _SIG_PROD = [[BIG_SIGMA[i] @ BIG_SIGMA[j] for j in range(3)] for i in range(3)]
 
 _F_OPS = [np.kron(s, IDENT2) for s in SIGMA] + [np.kron(IDENT2, s) for s in SIGMA]
+
+# Samples whose observables `evolve` computes in one batch.  A bounded batch
+# keeps the eigh/SVD temporaries small however many samples a run takes.
+RECORD_CHUNK = 256
 
 
 class IntegrationAccuracyError(RuntimeError):
@@ -175,6 +180,28 @@ def _rk4_step_matrix(L, c0, dt):
     return P
 
 
+def _check_samples(vectors, times):
+    """Raise on the first sample, in time order, that is not a state.
+
+    A sample fails with a non-finite coefficient or an eigenvalue below
+    STATE_EIG_FLOOR, the floor `concurrence` accepts.  Returns the sample
+    matrices.
+    """
+    finite = np.isfinite(vectors).all(axis=1)
+    n_ok = len(finite) if finite.all() else int(np.argmin(finite))
+    mats = assemble_matrices(vectors[:n_ok])
+    min_eig = np.linalg.eigvalsh(mats).min(axis=-1)
+    low = np.flatnonzero(min_eig < STATE_EIG_FLOOR)
+    if low.size:
+        k = low[0]
+        raise IntegrationAccuracyError(
+            f"state eigenvalue {min_eig[k]:.3e} at t={times[k]:.6g}; reduce dt")
+    if n_ok < len(finite):
+        raise IntegrationAccuracyError(
+            f"non-finite state coefficients at t={times[n_ok]:.6g}; reduce dt")
+    return mats
+
+
 def evolve(initial, block, t_end=None, dt=None, sample_every=10):
     """Integrate the component equations with fixed-step fourth-order steps.
 
@@ -183,15 +210,14 @@ def evolve(initial, block, t_end=None, dt=None, sample_every=10):
     every `sample_every` steps plus the final time.  The generator is
     compiled once and RK4 is applied as one 16x16 step matrix; the stride
     between samples is its `sample_every`-th power, so positivity is checked
-    at the sampled states.  The trace is structurally conserved by the
-    component representation; trace_err reports the reconstruction deviation
-    as an integrator-health diagnostic.  A sampled state with a non-finite
-    coefficient or an eigenvalue below -1e-7 aborts with a suggestion to
+    at the sampled states.  All samples are propagated first; their
+    observables are then computed in batches of RECORD_CHUNK.  The trace is
+    structurally conserved by the component representation; trace_err
+    reports the reconstruction deviation as an integrator-health diagnostic.
+    The first sampled state, in time order, with a non-finite coefficient or
+    an eigenvalue below STATE_EIG_FLOOR (-1e-8) aborts with a suggestion to
     reduce dt.
     """
-    from .entanglement import concurrence as _concurrence
-    from .entanglement import partial_transpose as _partial_transpose
-
     scale = rate_scale(block)
     if dt is None:
         dt = 0.01 / scale
@@ -203,46 +229,38 @@ def evolve(initial, block, t_end=None, dt=None, sample_every=10):
         raise ValueError("sample_every must be at least 1")
 
     n_steps = int(round(t_end / dt))
-    step = _rk4_step_matrix(*compile_generator(block), dt)
-    y = np.append(initial.as_vector(), 1.0)
-    times, states = [], []
-    taus, trace_errs, pt_eigs, concs = [], [], [], []
-
-    def record(t, y):
-        if not np.isfinite(y).all():
-            raise IntegrationAccuracyError(
-                f"non-finite state coefficients at t={t:.6g}; reduce dt")
-        c = PauliCoefficients.from_vector(y[:15])
-        mat = convert(c)
-        min_eig = float(np.linalg.eigvalsh(mat).min())
-        if min_eig < -1e-7:
-            raise IntegrationAccuracyError(
-                f"state eigenvalue {min_eig:.3e} at t={t:.6g}; reduce dt")
-        times.append(t)
-        states.append(c)
-        taus.append(tau_of(c))
-        trace_errs.append(abs(np.trace(mat).real - 1.0))
-        pt_eigs.append(_partial_transpose(mat)[1])
-        concs.append(_concurrence(mat))
-
-    record(0.0, y)
     n_strides, rest = divmod(n_steps, sample_every)
-    # an unstable step overflows; record() reports it as non-finite
+    times = np.arange(n_strides + 1) * sample_every * dt
+    if rest:
+        times = np.append(times, n_steps * dt)
+    step = _rk4_step_matrix(*compile_generator(block), dt)
+    Y = np.empty((len(times), 16))
+    Y[0] = np.append(initial.as_vector(), 1.0)
+    # an unstable step overflows; _check_samples reports it as non-finite
     with np.errstate(over="ignore", invalid="ignore"):
         stride = np.linalg.matrix_power(step, sample_every)
-    for k in range(1, n_strides + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            y = stride @ y
-        record(k * sample_every * dt, y)
-    if rest:
-        with np.errstate(over="ignore", invalid="ignore"):
-            y = np.linalg.matrix_power(step, rest) @ y
-        record(n_steps * dt, y)
+        for k in range(1, n_strides + 1):
+            np.dot(stride, Y[k - 1], out=Y[k])
+        if rest:
+            np.dot(np.linalg.matrix_power(step, rest), Y[-2], out=Y[-1])
 
-    return Trajectory(times=np.array(times), states=states,
-                      tau=np.array(taus), trace_err=np.array(trace_errs),
-                      min_pt_eig=np.array(pt_eigs),
-                      concurrence=np.array(concs))
+    vectors = Y[:, :15]
+    trace_err, min_pt_eig, conc = np.empty((3, len(times)))
+    for lo in range(0, len(times), RECORD_CHUNK):
+        part = slice(lo, lo + RECORD_CHUNK)
+        mats = _check_samples(vectors[part], times[part])
+        trace_err[part] = np.abs(np.trace(mats, axis1=-2, axis2=-1).real - 1.0)
+        min_pt_eig[part] = partial_transpose(mats)[1]
+        conc[part] = concurrence(mats)
+
+    r0i, ri0 = vectors[:, :3], vectors[:, 3:6]
+    rij = vectors[:, 6:].reshape(-1, 3, 3)
+    # np.trace, as in tau_of, so that a zero trace is +0.0 here as well
+    tau = np.trace(rij, axis1=1, axis2=2)
+    return Trajectory(times=times,
+                      states=[PauliCoefficients(*c) for c in zip(r0i, ri0, rij)],
+                      tau=tau, trace_err=trace_err, min_pt_eig=min_pt_eig,
+                      concurrence=conc)
 
 
 def evolve_general(state, C, t_end, dt):

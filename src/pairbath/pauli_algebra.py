@@ -102,6 +102,26 @@ class PauliCoefficients:
         return cls(np.zeros(3), np.zeros(3), np.zeros((3, 3)))
 
 
+def assemble_matrices(vectors):
+    """Density matrices of coefficient vectors: shape (..., 15) -> (..., 4, 4).
+
+    The vectors are in `PauliCoefficients.as_vector` order.  The expansion
+    terms are added in one fixed order whatever the stack shape, so a stack
+    gives bit for bit the matrices of its rows assembled one at a time.
+    """
+    v = np.asarray(vectors, dtype=float)
+    # coefficient axis first: one vector indexes to scalars (numpy's fast
+    # scalar-times-array path), a stack to (..., 1, 1) arrays
+    c = v if v.ndim == 1 else np.moveaxis(v, -1, 0)[..., None, None]
+    mat = np.empty(v.shape[:-1] + (4, 4), dtype=complex)
+    mat[...] = IDENT4
+    for i in range(3):
+        mat += c[i] * TENSOR[0][i + 1] + c[3 + i] * TENSOR[i + 1][0]
+        for j in range(3):
+            mat += c[6 + 3 * i + j] * TENSOR[i + 1][j + 1]
+    return mat / 4
+
+
 def convert(state):
     """Convert between PauliCoefficients and the 4x4 density-matrix form.
 
@@ -110,12 +130,7 @@ def convert(state):
     Hermitian); a non-unit trace is reported as a warning, never renormalized.
     """
     if isinstance(state, PauliCoefficients):
-        mat = IDENT4.copy()
-        for i in range(3):
-            mat += state.r0i[i] * TENSOR[0][i + 1] + state.ri0[i] * TENSOR[i + 1][0]
-            for j in range(3):
-                mat += state.rij[i, j] * TENSOR[i + 1][j + 1]
-        return mat / 4
+        return assemble_matrices(state.as_vector())
     mat = np.asarray(state, dtype=complex)
     tr = np.trace(mat).real
     if abs(tr - 1.0) > 1e-12:

@@ -8,9 +8,11 @@ import pytest
 import pairbath.pauli_algebra
 import pairbath.selfcheck
 from pairbath import cli
-from pairbath.config import (ConfigError, build_initial, load_config,
-                             parse_config, run_seed, serialize, werner_state)
-from pairbath.pauli_algebra import convert, tau_of
+from pairbath.config import (ConfigError, build_block, build_initial,
+                             load_config, parse_config, run_seed, serialize,
+                             werner_state)
+from pairbath.generator import _rk4_step, rhs_components
+from pairbath.pauli_algebra import PauliCoefficients, convert, tau_of
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -244,6 +246,27 @@ def test_evolve_overflow_exit_2(tmp_path, capsys):
                      "--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
     assert "non-finite" in err and "reduce dt" in err
+
+
+def test_evolve_eigenvalue_below_concurrence_floor_exit_2(tmp_path, capsys):
+    # the one step ends at a smallest eigenvalue of -3.0e-8: inside
+    # [-1e-7, -1e-8), below the floor concurrence accepts, so evolve must
+    # reject the sample itself (exit 2) before concurrence raises
+    dt = 0.2659789872172378
+    cfg = write_config(tmp_path, {
+        "bath": {"lambda": [1.0, 0.5, 0.2], "B": [0, 0, 0.3]},
+        "initial": {"pauli": {"r0i": [0, 0, -1], "ri0": [0, 0, 1],
+                              "rij": [[0, 0, 0], [0, 0, 0], [0, 0, -1]]}},
+        "integrator": {"dt": dt, "t_end": dt, "sample_every": 1}})
+    assert cli.main(["evolve", "--config", cfg,
+                     "--out", str(tmp_path / "x.csv")]) == 2
+    assert "reduce dt" in capsys.readouterr().err
+    cfgp = load_config(cfg)
+    block = build_block(cfgp)
+    x = _rk4_step(build_initial(cfgp).as_vector(), dt, lambda v: rhs_components(
+        PauliCoefficients.from_vector(v), block).as_vector())
+    min_eig = np.linalg.eigvalsh(convert(PauliCoefficients.from_vector(x))).min()
+    assert -1e-7 <= min_eig < -1e-8
 
 
 # ------------------------------------------------------------------ steady

@@ -65,6 +65,20 @@ def test_concurrence_against_xstate_oracle(rng):
     assert worst < 1e-12
 
 
+def test_stacked_kernels_match_single_matrices(rng):
+    stack = np.array([[random_state(rng, rank=r) for r in (1, 2, 3, 4)]
+                      for _ in range(3)])
+    pts, min_eigs = partial_transpose(stack)
+    concs = concurrence(stack)
+    assert pts.shape == stack.shape and min_eigs.shape == concs.shape == (3, 4)
+    for idx in np.ndindex(3, 4):
+        pt, min_eig = partial_transpose(stack[idx])
+        c = concurrence(stack[idx])
+        assert type(min_eig) is float and type(c) is float
+        assert pt.tobytes() == pts[idx].tobytes()
+        assert min_eig == min_eigs[idx] and c == concs[idx]
+
+
 def test_concurrence_rejects_non_state():
     with pytest.raises(ValueError, match="not a state"):
         concurrence(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))

@@ -1,5 +1,7 @@
 """Generator forms, conservation laws, and the fixed-step integrator."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,15 +9,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pairbath.bath import assemble_full_C, make_bath
-from pairbath.generator import (IntegrationAccuracyError, _rk4_step,
-                                diagonal_form_check, evolve, evolve_general,
-                                rate_scale, rhs_components, rhs_equal_blocks,
-                                rhs_general)
-from pairbath.pauli_algebra import (P_SINGLET, PauliCoefficients, convert,
-                                    tau_of)
+from pairbath.config import product_state, werner_state
+from pairbath.entanglement import concurrence, partial_transpose
+from pairbath.generator import (RECORD_CHUNK, IntegrationAccuracyError,
+                                _rk4_step, diagonal_form_check, evolve,
+                                evolve_general, rate_scale, rhs_components,
+                                rhs_equal_blocks, rhs_general)
+from pairbath.pauli_algebra import (P_SINGLET, PauliCoefficients,
+                                    assemble_matrices, convert, tau_of)
 
 from conftest import (oracle_propagate, oracle_rhs, random_aligned_bath,
-                      random_offaxis_bath, random_state, trace_distance)
+                      random_ket, random_offaxis_bath, random_state,
+                      trace_distance)
 
 
 def _components_as_matrix(coeffs, block):
@@ -112,6 +117,49 @@ def test_evolve_matches_stepwise_rk4(rng, sample_every):
         assert np.array_equal(tr.times, times)
         got = np.array([c.as_vector() for c in tr.states])
         assert np.abs(got - samples).max() <= 1e-12
+
+
+@pytest.mark.parametrize("sample_every", [1, 7, 10 ** 6])
+def test_batched_recording_matches_per_sample(rng, sample_every):
+    # 601 samples at sample_every 1 span three RECORD_CHUNK batches
+    n_steps = 600
+    starts = [product_state(random_ket(rng), random_ket(rng)),
+              convert(random_state(rng, rank=1)),
+              PauliCoefficients([0, 0, -1], [0, 0, 1], np.diag([0.0, 0.0, -1.0])),
+              convert(random_state(rng))]
+    for blk in (random_offaxis_bath(rng), random_aligned_bath(rng)):
+        dt = 0.01 / rate_scale(blk)
+        for start in starts:
+            tr = evolve(start, blk, t_end=n_steps * dt, dt=dt,
+                        sample_every=sample_every)
+            mats = assemble_matrices([c.as_vector() for c in tr.states])
+            for k, c in enumerate(tr.states):
+                mat = convert(c)
+                assert mat.tobytes() == mats[k].tobytes()
+                assert tr.tau[k] == tau_of(c)
+                assert tr.trace_err[k] == abs(np.trace(mat).real - 1.0)
+                assert tr.min_pt_eig[k] == partial_transpose(mat)[1]
+                assert tr.concurrence[k] == concurrence(mat)
+
+
+def test_first_failure_past_a_chunk_boundary_is_reported():
+    # a stationary werner state, nudged off its fixed point, under a step
+    # just past RK4's stability bound for the rate-12 modes: the nudge grows
+    # by about 2 % per step and leaves the positive cone after a few hundred
+    blk = make_bath(np.eye(3), np.zeros(3))
+    w = werner_state(0.5)
+    rij = w.rij.copy()
+    rij[0, 1] += 1e-6
+    start = PauliCoefficients(w.r0i + 1e-6, w.ri0 - 1e-6, rij)
+    dt, n_steps = 0.2345, 400
+    times, samples = _stepwise_rk4(start, blk, n_steps, dt, 1)
+    min_eig = np.array([np.linalg.eigvalsh(convert(PauliCoefficients.from_vector(x))).min()
+                        for x in samples])
+    first = int(np.flatnonzero(min_eig < -1e-8)[0])
+    assert first > RECORD_CHUNK and min_eig[first - 1] > 0
+    with pytest.raises(IntegrationAccuracyError,
+                       match=re.escape(f"at t={times[first]:.6g}; reduce dt")):
+        evolve(start, blk, t_end=n_steps * dt, dt=dt, sample_every=1)
 
 
 def test_evolve_compiles_generator_once(rng, monkeypatch):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pairbath.pauli_algebra import (IDENT4, P_SINGLET, PauliCoefficients,
-                                    Q_TRIPLET, S_TOTAL, build_basis,
+                                    Q_TRIPLET, S_TOTAL, assemble_matrices,
+                                    build_basis,
                                     check_appendix_algebra,
                                     check_density_matrix, convert,
                                     levi_civita, tau_of)
@@ -84,6 +85,18 @@ def test_convert_round_trip_coefficients(rng):
     c = PauliCoefficients.from_vector(v)
     back = convert(convert(c))
     assert np.abs(back.as_vector() - v).max() < 1e-14
+
+
+def test_assemble_matrices_is_convert_bit_for_bit(rng):
+    # exact zeros, tiny and unit-size entries, in stacks of two shapes
+    vectors = rng.uniform(-1, 1, (2, 3, 15)) * rng.choice([0.0, 1e-17, 0.3, 1.0],
+                                                         (2, 3, 15))
+    mats = assemble_matrices(vectors)
+    assert mats.shape == (2, 3, 4, 4)
+    for idx in np.ndindex(2, 3):
+        one = convert(PauliCoefficients.from_vector(vectors[idx]))
+        assert one.tobytes() == mats[idx].tobytes()
+        assert one.tobytes() == assemble_matrices(vectors[idx][None])[0].tobytes()
 
 
 def test_convert_warns_on_bad_trace():
