@@ -9,6 +9,7 @@ parse -> serialize is idempotent.
 """
 
 import json
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -36,11 +37,17 @@ WERNER_KEY = "werner"  # canonical name; any key starting with it is accepted
 _INTEGRATOR_DEFAULTS = {"dt": None, "t_end": None, "sample_every": 10}
 
 
+def _is_number(x):
+    # a JSON number: bool is an int subclass, so it is excluded by name
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _reals(node, field, n=None):
-    try:
-        arr = np.asarray(node, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{field}: expected real numbers") from None
+    # numpy would also read booleans and numeric strings as numbers; an
+    # object array keeps the entries as given (and ragged rows as lists)
+    if not all(_is_number(x) for x in np.asarray(node, dtype=object).flat):
+        raise ConfigError(f"{field}: expected real numbers")
+    arr = np.asarray(node, dtype=float)
     if n is not None and arr.shape != (n,):
         raise ConfigError(f"{field}: expected {n} entries, got shape {arr.shape}")
     return arr
@@ -51,10 +58,10 @@ def _complex_vector(node, field, n):
         raise ConfigError(f"{field}: expected {n} entries")
     out = np.empty(n, dtype=complex)
     for k, entry in enumerate(node):
-        if isinstance(entry, (int, float)):
+        if _is_number(entry):
             out[k] = entry
         elif isinstance(entry, (list, tuple)) and len(entry) == 2 \
-                and all(isinstance(x, (int, float)) for x in entry):
+                and all(_is_number(x) for x in entry):
             out[k] = complex(entry[0], entry[1])
         else:
             raise ConfigError(f"{field}[{k}]: expected a number or [re, im] pair")
@@ -112,7 +119,7 @@ def _parse_variant(node, field, allow_mixed=True):
         if not isinstance(body, dict) or set(body) != {"s"}:
             raise ConfigError(f"{field}.{key}: expected a single field s")
         s = body["s"]
-        if not isinstance(s, (int, float)) or not 0.0 <= s <= 0.75:
+        if not _is_number(s) or not 0.0 <= s <= 0.75:
             raise ConfigError(f"{field}.{key}.s: need 0 <= s <= 3/4, got {s}")
         return {WERNER_KEY: {"s": float(s)}}
 
@@ -139,7 +146,7 @@ def _parse_variant(node, field, allow_mixed=True):
             if not isinstance(item, dict) or "weight" not in item:
                 raise ConfigError(f"{here}.weight: required")
             w = item["weight"]
-            if not isinstance(w, (int, float)) or w < 0:
+            if not _is_number(w) or w < 0:
                 raise ConfigError(f"{here}.weight: need a nonnegative number")
             total += w
             rest = {kk: vv for kk, vv in item.items() if kk != "weight"}
@@ -164,12 +171,12 @@ def _parse_integrator(node):
     for key in ("dt", "t_end"):
         if key in node:
             v = node[key]
-            if not isinstance(v, (int, float)) or v <= 0:
+            if not _is_number(v) or v <= 0:
                 raise ConfigError(f"integrator.{key}: need a positive number")
             out[key] = float(v)
     if "sample_every" in node:
         v = node["sample_every"]
-        if not isinstance(v, int) or v < 1:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             raise ConfigError("integrator.sample_every: need an integer >= 1")
         out["sample_every"] = v
     return out

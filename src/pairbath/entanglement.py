@@ -5,8 +5,9 @@ sqrt(rho) sqrt(rho_tilde).  At rank-deficient states it has an absolute
 floor of about 1e-8: the square root turns rounding of order 1e-17 in a
 zero eigenvalue into an error of order 1e-8.5, so pure product states
 (true C = 0) return values up to about 2e-8.  The closed-form evaluator
-mirrors the asymptotic formula for baths with two equal smaller rates and
-is written so that the singlet input returns exactly 1.0.
+mirrors the asymptotic formula in (M, R); it ignores N, so it is exact only
+when 8|N| <= 1 - 2R, and it is written so that the singlet input returns
+exactly 1.0.
 
 `partial_transpose` and `concurrence` accept one 4x4 matrix or a stack of
 shape (..., 4, 4).  One matrix gives Python floats; a stack gives arrays
@@ -70,11 +71,13 @@ def concurrence(mat):
 def concurrence_closed(M, R, tau, tol=1e-9):
     """Asymptotic concurrence over the commuting stationary family.
 
-    Valid when the two smaller relaxation rates coincide, so that the family
-    is parametrized by (M, R) alone.  Returns the gap Delta, the concurrence,
-    and the threshold value of tau below which the asymptotic state is
-    entangled.  The affine form of the numerator makes C exactly 1 at the
-    singlet point tau = -3.
+    The formula ignores N.  It is exact when 8|N| <= 1 - 2R (N = 0, equal
+    transverse rates, is one such case); outside that range it can be wrong:
+    for lambda = (20, 0.5, 0.01), |B| = 0.99 sqrt(lam1 lam2) and tau = 1 it
+    returns 0, while Wootters' concurrence of the closed-form equilibrium is
+    0.9127.  Returns the gap Delta, the concurrence, and the threshold value
+    of tau below which the asymptotic state is entangled.  The affine form
+    of the numerator makes C exactly 1 at the singlet point tau = -3.
     """
     if not (-tol <= 2 * R <= 1 + tol):
         raise ValueError(f"need 0 <= 2R <= 1, got 2R = {2 * R}")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .entanglement import STATE_EIG_FLOOR, concurrence, partial_transpose
 from .pauli_algebra import (BIG_SIGMA, IDENT2, PauliCoefficients, SIGMA,
-                            assemble_matrices)
+                            TAU_ENTRIES, assemble_matrices)
 
 # cached products Sigma_i Sigma_j for the anticommutator terms
 _SIG_PROD = [[BIG_SIGMA[i] @ BIG_SIGMA[j] for j in range(3)] for i in range(3)]
@@ -118,18 +118,22 @@ def rhs_general(state, C):
     return out
 
 
+def lindblad_operators(block):
+    """The three diagonal-form operators V_i = sum_j sqrt[i, j] Sigma_j, with
+    sqrt the Hermitian square root of block.herm (negative eigenvalues clipped)."""
+    w, U = np.linalg.eigh(block.herm)
+    sqrt = U @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ U.conj().T
+    return [sum(sqrt[i, j] * BIG_SIGMA[j] for j in range(3)) for i in range(3)]
+
+
 def diagonal_form_check(block, state):
     """Max deviation of the diagonal (square-root) form from the matrix form.
 
-    The block's Hermitian square root defines V_i = sum_j sqrt[i, j] Sigma_j;
-    the single-sum Lindblad expression over the V_i must reproduce
-    rhs_equal_blocks identically.
+    The single-sum Lindblad expression over the `lindblad_operators` V_i
+    must reproduce rhs_equal_blocks identically.
     """
-    w, U = np.linalg.eigh(block.herm)
-    sqrt = U @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ U.conj().T
     out = np.zeros((4, 4), dtype=complex)
-    for i in range(3):
-        V = sum(sqrt[i, j] * BIG_SIGMA[j] for j in range(3))
+    for V in lindblad_operators(block):
         Vd = V.conj().T
         VdV = Vd @ V
         out += V @ state @ Vd - 0.5 * (VdV @ state + state @ VdV)
@@ -255,11 +259,10 @@ def evolve(initial, block, t_end=None, dt=None, sample_every=10):
 
     r0i, ri0 = vectors[:, :3], vectors[:, 3:6]
     rij = vectors[:, 6:].reshape(-1, 3, 3)
-    # np.trace, as in tau_of, so that a zero trace is +0.0 here as well
-    tau = np.trace(rij, axis1=1, axis2=2)
     return Trajectory(times=times,
                       states=[PauliCoefficients(*c) for c in zip(r0i, ri0, rij)],
-                      tau=tau, trace_err=trace_err, min_pt_eig=min_pt_eig,
+                      tau=vectors[:, TAU_ENTRIES].sum(axis=1),
+                      trace_err=trace_err, min_pt_eig=min_pt_eig,
                       concurrence=conc)
 
 

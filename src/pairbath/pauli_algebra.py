@@ -43,9 +43,13 @@ S_TOTAL = S_OPS[0][0] + S_OPS[1][1] + S_OPS[2][2]
 P_SINGLET = (IDENT4 - S_TOTAL / 2) / 4
 Q_TRIPLET = IDENT4 - P_SINGLET
 
-# tensor basis for conversions: TENSOR[a][b] = pauli_a x pauli_b with pauli_0 = 1
-_PAULI_EXT = [IDENT2] + SIGMA
-TENSOR = [[np.kron(_PAULI_EXT[a], _PAULI_EXT[b]) for b in range(4)] for a in range(4)]
+# expansion operators in `PauliCoefficients.as_vector` order (1 x sigma_i,
+# sigma_i x 1, sigma_i x sigma_j), used by `convert` in both directions
+EXPANSION = np.array([np.kron(IDENT2, s) for s in SIGMA]
+                     + [np.kron(s, IDENT2) for s in SIGMA]
+                     + [np.kron(a, b) for a in SIGMA for b in SIGMA])
+# entries of a coefficient vector that sum to tau (the diagonal of rij)
+TAU_ENTRIES = [6, 10, 14]
 
 _BASIS = {
     "sigma": SIGMA,
@@ -116,9 +120,9 @@ def assemble_matrices(vectors):
     mat = np.empty(v.shape[:-1] + (4, 4), dtype=complex)
     mat[...] = IDENT4
     for i in range(3):
-        mat += c[i] * TENSOR[0][i + 1] + c[3 + i] * TENSOR[i + 1][0]
-        for j in range(3):
-            mat += c[6 + 3 * i + j] * TENSOR[i + 1][j + 1]
+        mat += c[i] * EXPANSION[i] + c[3 + i] * EXPANSION[3 + i]
+        for k in range(6 + 3 * i, 9 + 3 * i):
+            mat += c[k] * EXPANSION[k]
     return mat / 4
 
 
@@ -136,11 +140,8 @@ def convert(state):
     if abs(tr - 1.0) > 1e-12:
         warnings.warn(f"matrix trace is {tr!r}, not 1; coefficients kept unscaled",
                       stacklevel=2)
-    r0i = np.array([np.trace(mat @ TENSOR[0][i + 1]).real for i in range(3)])
-    ri0 = np.array([np.trace(mat @ TENSOR[i + 1][0]).real for i in range(3)])
-    rij = np.array([[np.trace(mat @ TENSOR[i + 1][j + 1]).real for j in range(3)]
-                    for i in range(3)])
-    return PauliCoefficients(r0i, ri0, rij)
+    return PauliCoefficients.from_vector(
+        np.trace(mat @ EXPANSION, axis1=1, axis2=2).real)
 
 
 def tau_of(state):
@@ -148,7 +149,7 @@ def tau_of(state):
     if isinstance(state, PauliCoefficients):
         return float(np.trace(state.rij))
     mat = np.asarray(state, dtype=complex)
-    return float(sum(np.trace(mat @ TENSOR[i + 1][i + 1]).real for i in range(3)))
+    return float(sum(np.trace(mat @ EXPANSION[TAU_ENTRIES], axis1=1, axis2=2).real))
 
 
 def check_density_matrix(mat, herm_tol=1e-12, trace_tol=1e-12, psd_floor=-1e-10):

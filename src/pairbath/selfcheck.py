@@ -12,9 +12,10 @@ from .bath import make_bath, assemble_full_C
 from .config import run_seed
 from .entanglement import concurrence, generation_test, partial_transpose
 from .generator import (diagonal_form_check, evolve, evolve_general,
-                        rhs_components, rhs_equal_blocks, rhs_general)
-from .pauli_algebra import (BIG_SIGMA, IDENT2, P_SINGLET, SIGMA,
-                            check_appendix_algebra, convert, tau_of)
+                        lindblad_operators, rhs_components, rhs_equal_blocks,
+                        rhs_general)
+from .pauli_algebra import (IDENT2, P_SINGLET, SIGMA, check_appendix_algebra,
+                            convert, tau_of)
 from .steady_state import (asymptotic_state, commutant_check,
                            equilibrium_components, liouvillian_null_space,
                            stationary_family, stationary_member)
@@ -158,13 +159,9 @@ def suite_commutant(rng):
         if not res["contains_S"]:
             return False, f"commutator residuals {max(res['residuals']):.2e}"
     # a non-member must fail for a generic block: single-qubit sigma_x
-    blk = random_block(rng)
-    w, U = np.linalg.eigh(blk.herm)
-    sqrt = U @ np.diag(np.sqrt(np.clip(w, 0, None))) @ U.conj().T
     X = np.kron(SIGMA[0], IDENT2)
     worst = 0.0
-    for i in range(3):
-        V = sum(sqrt[i, j] * BIG_SIGMA[j] for j in range(3))
+    for V in lindblad_operators(random_block(rng)):
         worst = max(worst, float(np.abs(X @ V - V @ X).max()))
     if worst < 1e-6:
         return False, "sigma_x(x)1 unexpectedly commutes with every V_i"

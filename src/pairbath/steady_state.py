@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import principal_frame
-from .generator import compile_generator
-from .pauli_algebra import (BIG_SIGMA, P_SINGLET, PauliCoefficients,
-                            Q_TRIPLET, S_TOTAL, convert, tau_of)
+from .generator import compile_generator, lindblad_operators
+from .pauli_algebra import (P_SINGLET, PauliCoefficients, Q_TRIPLET, S_TOTAL,
+                            TAU_ENTRIES, assemble_matrices, convert, tau_of)
 
 
 class ClosedFormNotApplicable(ValueError):
@@ -138,8 +138,9 @@ def asymptotic_state(initial, family):
     return EquilibriumState(tau=eq.tau, components=eq.components, state=rho_hat)
 
 
-def _min_eig(vec):
-    return float(np.linalg.eigvalsh(convert(PauliCoefficients.from_vector(vec))).min())
+def _min_eig(vecs):
+    """Smallest eigenvalue of each coefficient vector's matrix, (..., 15) -> (...)."""
+    return np.linalg.eigvalsh(assemble_matrices(vecs)).min(axis=-1)
 
 
 def _line_search(vec, direction, lo, hi, iters=200):
@@ -147,7 +148,8 @@ def _line_search(vec, direction, lo, hi, iters=200):
     for _ in range(iters):
         m1 = lo + (hi - lo) / 3
         m2 = hi - (hi - lo) / 3
-        if _min_eig(vec + m1 * direction) < _min_eig(vec + m2 * direction):
+        e1, e2 = _min_eig(vec + np.outer([m1, m2], direction))
+        if e1 < e2:
             lo = m1
         else:
             hi = m2
@@ -181,10 +183,10 @@ def liouvillian_null_space(block, rank_tol=1e-10):
     member = particular
     if len(null_dirs) == 1:
         d = null_dirs[0]
-        tau_d = float(d[6] + d[10] + d[14])
+        tau_d = d[TAU_ENTRIES].sum()
         if abs(tau_d) > 1e-8:
             # parametrize by tau and scan its physical range
-            tau_p = tau_of(PauliCoefficients.from_vector(particular))
+            tau_p = particular[TAU_ENTRIES].sum()
             lo, hi = (-3.0 - tau_p) / tau_d, (1.0 - tau_p) / tau_d
             member = _line_search(particular, d, min(lo, hi), max(lo, hi))
         else:
@@ -197,7 +199,7 @@ def liouvillian_null_space(block, rank_tol=1e-10):
     ok = _min_eig(member) > 1e-8
     return {"dimension": len(null_dirs),
             "basis": null_dirs,
-            "full_rank_member": convert(PauliCoefficients.from_vector(member)) if ok else None}
+            "full_rank_member": assemble_matrices(member) if ok else None}
 
 
 def stationary_member(sol, tau):
@@ -211,23 +213,19 @@ def stationary_member(sol, tau):
     if sol["dimension"] != 1 or sol["full_rank_member"] is None:
         return None
     d = sol["basis"][0]
-    tau_d = d[6] + d[10] + d[14]
+    tau_d = d[TAU_ENTRIES].sum()
     if abs(tau_d) < 1e-8:
         return None
-    base = convert(sol["full_rank_member"])
-    vec = base.as_vector() + (tau - tau_of(base)) / tau_d * d
-    return convert(PauliCoefficients.from_vector(vec))
+    base = convert(sol["full_rank_member"]).as_vector()
+    return assemble_matrices(base + (tau - base[TAU_ENTRIES].sum()) / tau_d * d)
 
 
 def commutant_check(block):
     """Verify that the total-spin correlation operator commutes with the
     diagonal-form operators V_i of the block (hence lies in the commutant
     characterizing the stationary structure)."""
-    w, U = np.linalg.eigh(block.herm)
-    sqrt = U @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ U.conj().T
     residuals = []
-    for i in range(3):
-        V = sum(sqrt[i, j] * BIG_SIGMA[j] for j in range(3))
+    for V in lindblad_operators(block):
         for X in (V, V.conj().T):
             residuals.append(float(np.abs(S_TOTAL @ X - X @ S_TOTAL).max()))
     return {"contains_S": all(r < 1e-12 for r in residuals),

@@ -75,6 +75,27 @@ def test_round_trip_mixed():
     (lambda o: o.update(integrator={"dt": -1}), "integrator.dt"),
     (lambda o: o.update(integrator={"sample_every": 0}), "sample_every"),
     (lambda o: o.update(unknown=1), "unknown"),
+    # booleans and numeric strings are not numbers
+    (lambda o: o.update(integrator={"sample_every": True}), r"integrator\.sample_every"),
+    (lambda o: o.update(integrator={"dt": True}), r"integrator\.dt"),
+    (lambda o: o.update(integrator={"t_end": True}), r"integrator\.t_end"),
+    (lambda o: o["bath"].update({"lambda": [True, "1", 1]}), r"bath\.lambda"),
+    (lambda o: o["bath"].update({"lambda": [1, "1", 1]}), r"bath\.lambda"),
+    (lambda o: o["bath"].update(B=[0, 0, True]), r"bath\.B"),
+    (lambda o: o.update(bath={"A": [[1, 0, 0], [0, True, 0], [0, 0, 1]], "B": [0, 0, 0]}),
+     r"bath\.A"),
+    (lambda o: o["initial"]["werner_eq27"].update(s=False), r"werner_eq27\.s"),
+    (lambda o: o.update(initial={"mixed": [{"weight": True, "werner": {"s": 0.1}}]}),
+     r"mixed\[0\]\.weight"),
+    (lambda o: o.update(initial={"product": {"phi": [True, 0], "psi": [1, 0]}}),
+     r"product\.phi"),
+    (lambda o: o.update(initial={"product": {"phi": [1, 0], "psi": [[0, True], 0]}}),
+     r"product\.psi"),
+    (lambda o: o.update(initial={"pauli": {"r0i": [0, 0, "0"], "ri0": [0, 0, 0],
+                                           "rij": [[0] * 3] * 3}}), r"pauli\.r0i"),
+    (lambda o: o.update(initial={"pauli": {"r0i": [0, 0, 0], "ri0": [0, 0, 0],
+                                           "rij": [[0, 0, 0], [0, False, 0], [0, 0, 0]]}}),
+     r"pauli\.rij"),
 ])
 def test_validation_names_the_field(mangle, field):
     obj = json.loads(json.dumps(BASE))

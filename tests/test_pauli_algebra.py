@@ -13,7 +13,7 @@ from pairbath.pauli_algebra import (IDENT4, P_SINGLET, PauliCoefficients,
                                     check_density_matrix, convert,
                                     levi_civita, tau_of)
 
-from conftest import COLLECTIVE, PAULI, random_state
+from conftest import COLLECTIVE, EYE2, PAULI, random_state
 
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 
@@ -97,6 +97,29 @@ def test_assemble_matrices_is_convert_bit_for_bit(rng):
         one = convert(PauliCoefficients.from_vector(vectors[idx]))
         assert one.tobytes() == mats[idx].tobytes()
         assert one.tobytes() == assemble_matrices(vectors[idx][None])[0].tobytes()
+
+
+def _trace_projection(mat):
+    """Coefficients and tau of a matrix, one trace per expansion operator."""
+    ext = [EYE2] + PAULI
+    pairs = ([(0, i) for i in (1, 2, 3)] + [(i, 0) for i in (1, 2, 3)]
+             + [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)])
+    coeffs = np.array([np.trace(mat @ np.kron(ext[a], ext[b])).real for a, b in pairs])
+    tau = float(sum(np.trace(mat @ np.kron(PAULI[i], PAULI[i])).real for i in range(3)))
+    return coeffs, tau
+
+
+def test_matrix_projection_is_trace_loop_bit_for_bit(rng):
+    mats = [random_state(rng, rank=rank) for rank in (1, 2, 3, 4) for _ in range(50)]
+    for mat in mats:
+        coeffs, tau = _trace_projection(mat)
+        assert convert(mat).as_vector().tobytes() == coeffs.tobytes()
+        assert np.float64(tau_of(mat)).tobytes() == np.float64(tau).tobytes()
+    heavy = 2.5 * random_state(rng)
+    coeffs, tau = _trace_projection(heavy)
+    with pytest.warns(UserWarning, match="trace"):
+        assert convert(heavy).as_vector().tobytes() == coeffs.tobytes()
+    assert np.float64(tau_of(heavy)).tobytes() == np.float64(tau).tobytes()
 
 
 def test_convert_warns_on_bad_trace():

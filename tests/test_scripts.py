@@ -1,0 +1,45 @@
+"""Smoke runs of the two reproduction scripts on small grids."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+import numpy as np
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def read_rows(path, header):
+    lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    assert lines[0] == header
+    return np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
+
+
+def test_werner_enhancement(tmp_path, capsys):
+    out = tmp_path / "werner.csv"
+    assert load_script("werner_enhancement").main(["--out", str(out), "--points", "4"]) == 0
+    rows = read_rows(out, "s,c_initial,c_final,delta_measured,delta_predicted,"
+                          "prediction_applicable")
+    assert rows.shape == (4, 6)
+    applicable = rows[rows[:, 5] == 1]
+    assert len(applicable) > 0
+    assert np.abs(applicable[:, 3] - applicable[:, 4]).max() < 1e-9
+    assert f"wrote {out}" in capsys.readouterr().out
+
+
+def test_phase_diagram_with_evolve_check(tmp_path, capsys):
+    out = tmp_path / "phase.csv"
+    assert load_script("phase_diagram").main(
+        ["--out", str(out), "--tau-points", "5", "--f-points", "3", "--check-evolve"]) == 0
+    assert read_rows(out, "tau,f,concurrence").shape == (15, 3)
+    thresholds = read_rows(tmp_path / "phase_threshold.csv", "f,tau_threshold")
+    assert thresholds.shape == (3, 2)
+    spot = re.search(r"max \|closed - evolved\| = (\S+)", capsys.readouterr().out)
+    assert float(spot.group(1)) < 1e-9

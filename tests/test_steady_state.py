@@ -11,8 +11,9 @@ from pairbath.bath import make_bath
 from pairbath.generator import evolve, rhs_equal_blocks
 from pairbath.pauli_algebra import (P_SINGLET, PauliCoefficients, Q_TRIPLET,
                                     convert, tau_of)
-from pairbath.steady_state import (ClosedFormNotApplicable, asymptotic_state,
-                                   commutant_check, equilibrium_components,
+from pairbath.steady_state import (ClosedFormNotApplicable, _line_search,
+                                   asymptotic_state, commutant_check,
+                                   equilibrium_components,
                                    liouvillian_null_space, stationary_family)
 
 from conftest import (oracle_rhs, oracle_superoperator, random_aligned_bath,
@@ -176,6 +177,36 @@ def test_nullspace_generic_dimension_and_match(rng):
             vec = base.as_vector() + (tau - tau_of(base)) / tau_d * d
             state = convert(PauliCoefficients.from_vector(vec))
             assert np.abs(state - equilibrium_components(tau, fam).state).max() < 1e-9
+
+
+def _line_search_one_probe_at_a_time(vec, direction, lo, hi, iters):
+    def min_eig(v):
+        return float(np.linalg.eigvalsh(convert(PauliCoefficients.from_vector(v))).min())
+    for _ in range(iters):
+        m1 = lo + (hi - lo) / 3
+        m2 = hi - (hi - lo) / 3
+        if min_eig(vec + m1 * direction) < min_eig(vec + m2 * direction):
+            lo = m1
+        else:
+            hi = m2
+    t = 0.5 * (lo + hi)
+    return vec + t * direction
+
+
+def test_line_search_matches_one_probe_at_a_time(rng):
+    lines = []
+    for _ in range(10):
+        d = rng.normal(size=15)
+        lines.append((convert(random_state(rng)).as_vector(), d / np.linalg.norm(d),
+                      -rng.uniform(0.1, 4), rng.uniform(0.1, 4)))
+    for blk in (random_aligned_bath(rng), random_offaxis_bath(rng)):
+        sol = liouvillian_null_space(blk)
+        lines.append((convert(sol["full_rank_member"]).as_vector(), sol["basis"][0],
+                      -1.0, 1.0))
+    for vec, d, lo, hi in lines:
+        for iters in (80, 200):
+            expect = _line_search_one_probe_at_a_time(vec, d, lo, hi, iters)
+            assert _line_search(vec, d, lo, hi, iters).tobytes() == expect.tobytes()
 
 
 def test_nullspace_works_off_axis(rng):
