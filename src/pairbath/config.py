@@ -9,6 +9,7 @@ parse -> serialize is idempotent.
 """
 
 import json
+import math
 import numbers
 import os
 from dataclasses import dataclass
@@ -38,15 +39,16 @@ _INTEGRATOR_DEFAULTS = {"dt": None, "t_end": None, "sample_every": 10}
 
 
 def _is_number(x):
-    # a JSON number: bool is an int subclass, so it is excluded by name
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+    # a finite JSON number: bool is an int subclass, so it is excluded by
+    # name, and Python's JSON reader also accepts NaN and Infinity
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def _reals(node, field, n=None):
     # numpy would also read booleans and numeric strings as numbers; an
     # object array keeps the entries as given (and ragged rows as lists)
     if not all(_is_number(x) for x in np.asarray(node, dtype=object).flat):
-        raise ConfigError(f"{field}: expected real numbers")
+        raise ConfigError(f"{field}: expected finite real numbers")
     arr = np.asarray(node, dtype=float)
     if n is not None and arr.shape != (n,):
         raise ConfigError(f"{field}: expected {n} entries, got shape {arr.shape}")
@@ -64,7 +66,7 @@ def _complex_vector(node, field, n):
                 and all(_is_number(x) for x in entry):
             out[k] = complex(entry[0], entry[1])
         else:
-            raise ConfigError(f"{field}[{k}]: expected a number or [re, im] pair")
+            raise ConfigError(f"{field}[{k}]: expected a finite number or [re, im] pair")
     return out
 
 
@@ -147,7 +149,7 @@ def _parse_variant(node, field, allow_mixed=True):
                 raise ConfigError(f"{here}.weight: required")
             w = item["weight"]
             if not _is_number(w) or w < 0:
-                raise ConfigError(f"{here}.weight: need a nonnegative number")
+                raise ConfigError(f"{here}.weight: need a finite nonnegative number")
             total += w
             rest = {kk: vv for kk, vv in item.items() if kk != "weight"}
             sub = _parse_variant(rest, here, allow_mixed=False)
@@ -172,7 +174,7 @@ def _parse_integrator(node):
         if key in node:
             v = node[key]
             if not _is_number(v) or v <= 0:
-                raise ConfigError(f"integrator.{key}: need a positive number")
+                raise ConfigError(f"integrator.{key}: need a finite positive number")
             out[key] = float(v)
     if "sample_every" in node:
         v = node["sample_every"]

@@ -106,24 +106,66 @@ class PauliCoefficients:
         return cls(np.zeros(3), np.zeros(3), np.zeros((3, 3)))
 
 
+def _gather_table():
+    # For each slot, entry and part (real, imaginary) of a flattened 4x4
+    # matrix, the index into the extended vector of `assemble_matrices`.
+    # Slot 0 is the identity's 1 or a 0; slots 1 and 2 are the at most two
+    # terms the expansion puts there, in the order `EXPANSION` is walked
+    # (pair (1 x sigma_i, sigma_i x 1) first, then sigma_i x sigma_j).  The
+    # sigma_z pair meets on the diagonal and enters as its one pre-summed
+    # value; every other term is +c_k or -c_k.
+    parts = np.stack([EXPANSION.real, EXPANSION.imag], axis=-1).reshape(15, 16, 2)
+    groups = [g for i in range(3)
+              for g in ((i, 3 + i), (6 + 3 * i,), (7 + 3 * i,), (8 + 3 * i,))]
+    table = np.full((3, 16, 2), _EXT_ZERO)
+    table[0, ::5, 0] = _EXT_ONE
+    for e, p in np.ndindex(16, 2):
+        terms = []
+        for group in groups:
+            ks = [k for k in group if parts[k, e, p]]
+            if len(ks) == 2:
+                terms.append(_EXT_ZPAIR + e // 5)
+            elif ks:
+                terms.append(ks[0] if parts[ks[0], e, p] > 0 else 15 + ks[0])
+        table[1:1 + len(terms), e, p] = terms
+    return table
+
+
+# extended vector [c, -c, sigma_z pair sums on the diagonal, 1, 0]
+_EXT_ZPAIR, _EXT_ONE, _EXT_ZERO = 30, 34, 35
+_ZPAIR_SIGNS = EXPANSION[[2, 5]].diagonal(axis1=1, axis2=2).real
+_GATHER = _gather_table()
+
+
 def assemble_matrices(vectors):
     """Density matrices of coefficient vectors: shape (..., 15) -> (..., 4, 4).
 
-    The vectors are in `PauliCoefficients.as_vector` order.  The expansion
-    terms are added in one fixed order whatever the stack shape, so a stack
-    gives bit for bit the matrices of its rows assembled one at a time.
+    The vectors are in `PauliCoefficients.as_vector` order.  Each part of
+    each entry is gathered and added in one fixed order whatever the stack
+    shape, so on finite input this is bit for bit the term-by-term sum of
+    `EXPANSION` (identity, then for each i the pair c_i (1 x sigma_i) +
+    c_{3+i} (sigma_i x 1), then the three sigma_i x sigma_j terms), and a
+    stack gives the matrices of its rows assembled one at a time.  A
+    non-finite coefficient reaches only the entries it enters, where the
+    term-by-term sum spread it to all 16 through inf * 0.
     """
     v = np.asarray(vectors, dtype=float)
-    # coefficient axis first: one vector indexes to scalars (numpy's fast
-    # scalar-times-array path), a stack to (..., 1, 1) arrays
-    c = v if v.ndim == 1 else np.moveaxis(v, -1, 0)[..., None, None]
-    mat = np.empty(v.shape[:-1] + (4, 4), dtype=complex)
-    mat[...] = IDENT4
-    for i in range(3):
-        mat += c[i] * EXPANSION[i] + c[3 + i] * EXPANSION[3 + i]
-        for k in range(6 + 3 * i, 9 + 3 * i):
-            mat += c[k] * EXPANSION[k]
-    return mat / 4
+    lead = v.shape[:-1]
+    ext = np.empty(lead + (36,))
+    ext[..., :15] = v
+    np.negative(v, out=ext[..., 15:30])
+    zpair = ext[..., _EXT_ZPAIR:_EXT_ONE]
+    np.multiply(v[..., 2:3], _ZPAIR_SIGNS[0], out=zpair)
+    zpair += v[..., 5:6] * _ZPAIR_SIGNS[1]
+    ext[..., _EXT_ONE] = 1.0
+    ext[..., _EXT_ZERO] = 0.0
+    # the gather puts the stack axes innermost in memory; summing into a
+    # C-ordered array makes the complex view below valid
+    terms = ext[..., _GATHER]
+    mat = np.add(terms[..., 0, :, :], terms[..., 1, :, :], out=np.empty(lead + (16, 2)))
+    mat += terms[..., 2, :, :]
+    mat *= 0.25
+    return mat.view(complex).reshape(lead + (4, 4))
 
 
 def convert(state):

@@ -144,14 +144,24 @@ def _min_eig(vecs):
 
 
 def _line_search(vec, direction, lo, hi, iters=200):
-    """Maximize the (concave) minimum eigenvalue along vec + t*direction."""
+    """Maximize the (concave) minimum eigenvalue along vec + t*direction.
+
+    Ternary search over [lo, hi] for at most `iters` steps.  It stops at the
+    bracket's fixed point, the first step that leaves (lo, hi) unchanged:
+    every later step would evaluate the same two probes and make the same
+    choice, so the result is bit for bit that of all `iters` steps.
+    """
     for _ in range(iters):
         m1 = lo + (hi - lo) / 3
         m2 = hi - (hi - lo) / 3
         e1, e2 = _min_eig(vec + np.outer([m1, m2], direction))
         if e1 < e2:
+            if m1 == lo:
+                break
             lo = m1
         else:
+            if m2 == hi:
+                break
             hi = m2
     t = 0.5 * (lo + hi)
     return vec + t * direction

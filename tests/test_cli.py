@@ -96,6 +96,18 @@ def test_round_trip_mixed():
     (lambda o: o.update(initial={"pauli": {"r0i": [0, 0, 0], "ri0": [0, 0, 0],
                                            "rij": [[0, 0, 0], [0, False, 0], [0, 0, 0]]}}),
      r"pauli\.rij"),
+    # NaN and Infinity (which Python's JSON reader accepts) are not numbers either
+    (lambda o: o.update(integrator={"dt": float("nan")}), r"integrator\.dt: need a finite"),
+    (lambda o: o.update(integrator={"t_end": float("inf")}),
+     r"integrator\.t_end: need a finite"),
+    (lambda o: o["bath"].update({"lambda": [1, float("nan"), 1]}),
+     r"bath\.lambda: expected finite"),
+    (lambda o: o.update(initial={"pauli": {"r0i": [0, 0, 0], "ri0": [0, float("nan"), 0],
+                                           "rij": [[0] * 3] * 3}}), r"pauli\.ri0"),
+    (lambda o: o.update(initial={"product": {"phi": [float("inf"), 0], "psi": [1, 0]}}),
+     r"product\.phi\[0\]"),
+    (lambda o: o.update(initial={"mixed": [{"weight": float("nan"), "werner": {"s": 0.1}}]}),
+     r"mixed\[0\]\.weight: need a finite"),
 ])
 def test_validation_names_the_field(mangle, field):
     obj = json.loads(json.dumps(BASE))

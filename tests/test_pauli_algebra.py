@@ -99,6 +99,40 @@ def test_assemble_matrices_is_convert_bit_for_bit(rng):
         assert one.tobytes() == assemble_matrices(vectors[idx][None])[0].tobytes()
 
 
+def _assemble_term_by_term(v):
+    """The expansion summed one operator at a time: identity, then for each i
+    the pair c_i (1 x sigma_i) + c_{3+i} (sigma_i x 1), then sigma_i x sigma_j."""
+    ops = ([np.kron(EYE2, s) for s in PAULI] + [np.kron(s, EYE2) for s in PAULI]
+           + [np.kron(a, b) for a in PAULI for b in PAULI])
+    c = v if v.ndim == 1 else np.moveaxis(v, -1, 0)[..., None, None]
+    mat = np.empty(v.shape[:-1] + (4, 4), dtype=complex)
+    mat[...] = np.eye(4)
+    for i in range(3):
+        mat += c[i] * ops[i] + c[3 + i] * ops[3 + i]
+        for k in range(6 + 3 * i, 9 + 3 * i):
+            mat += c[k] * ops[k]
+    return mat / 4
+
+
+def test_assemble_matrices_is_term_loop_bit_for_bit(rng):
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e-17, 0.5, -0.5,
+               1.0, -1.0, 1e5, -1e5]
+    for shape in [(15,), (0, 15), (1, 15), (7, 15), (2, 3, 15)]:
+        for _ in range(40):
+            v = (rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6, shape)
+                 * rng.choice([0.0, -0.0, 1.0, 1.0], shape))
+            picked = rng.random(shape) < 0.3
+            v[picked] = rng.choice(special, int(picked.sum()))
+            mats = assemble_matrices(v)
+            assert mats.shape == shape[:-1] + (4, 4)
+            assert mats.tobytes() == _assemble_term_by_term(v).tobytes()
+    # the sigma_z pair cancelling the identity on the diagonal, and its sign flips
+    v = np.zeros((8, 15))
+    v[:, [2, 5, 14]] = [[s2 * 0.5, s5 * 0.5, s14 * 2**-53]
+                        for s2 in (1, -1) for s5 in (1, -1) for s14 in (1, -1)]
+    assert assemble_matrices(v).tobytes() == _assemble_term_by_term(v).tobytes()
+
+
 def _trace_projection(mat):
     """Coefficients and tau of a matrix, one trace per expansion operator."""
     ext = [EYE2] + PAULI

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pairbath import steady_state
 from pairbath.bath import make_bath
 from pairbath.generator import evolve, rhs_equal_blocks
 from pairbath.pauli_algebra import (P_SINGLET, PauliCoefficients, Q_TRIPLET,
@@ -207,6 +208,25 @@ def test_line_search_matches_one_probe_at_a_time(rng):
         for iters in (80, 200):
             expect = _line_search_one_probe_at_a_time(vec, d, lo, hi, iters)
             assert _line_search(vec, d, lo, hi, iters).tobytes() == expect.tobytes()
+
+
+def test_line_search_stops_at_fixed_point(rng, monkeypatch):
+    # the tau line liouvillian_null_space searches, run with no step limit
+    lines, line_search, min_eig = [], steady_state._line_search, steady_state._min_eig
+    monkeypatch.setattr(steady_state, "_line_search",
+                        lambda *args: lines.append(args) or line_search(*args))
+    liouvillian_null_space(random_offaxis_bath(rng))
+    (vec, d, lo, hi), = lines
+    calls = []
+
+    def counted(vecs):
+        calls.append(len(vecs))
+        return min_eig(vecs)
+
+    monkeypatch.setattr(steady_state, "_min_eig", counted)
+    got = line_search(vec, d, lo, hi, iters=10**6)
+    assert len(calls) <= 150
+    assert got.tobytes() == line_search(vec, d, lo, hi, iters=200).tobytes()
 
 
 def test_nullspace_works_off_axis(rng):
