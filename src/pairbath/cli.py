@@ -7,6 +7,7 @@ Exit codes: 0 ok, 1 configuration error, 2 integration accuracy failure,
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -47,9 +48,8 @@ def cmd_evolve(config_path, out_path):
     tr = evolve(initial, block,
                 t_end=cfg.integrator["t_end"], dt=cfg.integrator["dt"],
                 sample_every=cfg.integrator["sample_every"])
-    coeffs = np.array([c.as_vector() for c in tr.states])[:, _COEFF_ORDER]
     table = np.column_stack([tr.times, tr.tau, tr.trace_err, tr.min_pt_eig,
-                             tr.concurrence, coeffs])
+                             tr.concurrence, tr.coeffs[:, _COEFF_ORDER]])
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(COEFF_COMMENT + "\n")
         fh.write(TRAJECTORY_HEADER + "\n")
@@ -192,11 +192,15 @@ def cmd_check():
 
 
 def _parse_values(text):
+    error = ConfigError(f"values: expected a comma-separated list of "
+                        f"finite numbers, got {text!r}")
     try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
+        values = [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
-        raise ConfigError(f"values: expected a comma-separated list of "
-                          f"numbers, got {text!r}") from None
+        raise error from None
+    if not all(math.isfinite(v) for v in values):
+        raise error
+    return values
 
 
 def build_parser():

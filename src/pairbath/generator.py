@@ -142,14 +142,23 @@ def diagonal_form_check(block, state):
 
 @dataclass
 class Trajectory:
-    """Sampled solution of the master equation with per-sample observables."""
+    """Sampled solution of the master equation with per-sample observables.
+
+    `coeffs` is the (n, 15) array of sampled coefficient vectors, one row
+    per entry of `times`, in `PauliCoefficients.as_vector` order.
+    """
 
     times: np.ndarray
-    states: list
+    coeffs: np.ndarray
     tau: np.ndarray
     trace_err: np.ndarray
     min_pt_eig: np.ndarray
     concurrence: np.ndarray
+
+    @property
+    def states(self):
+        """Per-sample PauliCoefficients built from `coeffs` anew on each access."""
+        return [PauliCoefficients.from_vector(v) for v in self.coeffs]
 
 
 def rate_scale(block):
@@ -257,10 +266,7 @@ def evolve(initial, block, t_end=None, dt=None, sample_every=10):
         min_pt_eig[part] = partial_transpose(mats)[1]
         conc[part] = concurrence(mats)
 
-    r0i, ri0 = vectors[:, :3], vectors[:, 3:6]
-    rij = vectors[:, 6:].reshape(-1, 3, 3)
-    return Trajectory(times=times,
-                      states=[PauliCoefficients(*c) for c in zip(r0i, ri0, rij)],
+    return Trajectory(times=times, coeffs=vectors,
                       tau=vectors[:, TAU_ENTRIES].sum(axis=1),
                       trace_err=trace_err, min_pt_eig=min_pt_eig,
                       concurrence=conc)

@@ -14,8 +14,8 @@ from .entanglement import concurrence, generation_test, partial_transpose
 from .generator import (diagonal_form_check, evolve, evolve_general,
                         lindblad_operators, rhs_components, rhs_equal_blocks,
                         rhs_general)
-from .pauli_algebra import (IDENT2, P_SINGLET, SIGMA, check_appendix_algebra,
-                            convert, tau_of)
+from .pauli_algebra import (IDENT2, P_SINGLET, SIGMA, assemble_matrices,
+                            check_appendix_algebra, convert, tau_of)
 from .steady_state import (asymptotic_state, commutant_check,
                            equilibrium_components, liouvillian_null_space,
                            stationary_family, stationary_member)
@@ -147,7 +147,7 @@ def suite_asymptotic_convergence(rng):
             rho0 = random_state(rng)
             tr = evolve(convert(rho0), blk, sample_every=1000)
             target = asymptotic_state(convert(rho0), fam).state
-            final = convert(tr.states[-1])
+            final = assemble_matrices(tr.coeffs[-1])
             dist = 0.5 * np.abs(np.linalg.eigvalsh(final - target)).sum()
             worst = max(worst, float(dist))
     return worst < 1e-6, f"max trace distance at t=50/scale: {worst:.2e}"

@@ -394,6 +394,17 @@ def test_sweep_B_beyond_positivity_exit_1(tmp_path, capsys):
     assert "eigenvalue" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("param, values", [
+    ("B", "nan"), ("B", "inf"), ("B", "1e400"),
+    ("lambda_2", "inf"), ("lambda_1", "nan")])
+def test_sweep_non_finite_value_exit_1(tmp_path, capsys, param, values):
+    cfg = write_config(tmp_path, BASE)
+    code = cli.main(["sweep", "--config", cfg, "--param", param,
+                     "--values", values, "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "values" in capsys.readouterr().err
+
+
 def test_sweep_B_values(tmp_path):
     cfg = write_config(tmp_path, BASE)
     out = tmp_path / "b.csv"

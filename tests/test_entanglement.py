@@ -57,6 +57,54 @@ def test_concurrence_pure_states(rng):
         assert abs(concurrence(rho) - expect) < 1e-10
 
 
+def test_concurrence_pure_product_states_are_exactly_separable(rng):
+    # the spin-flipped root leaves no square-root-of-rounding floor
+    worst = 0.0
+    for _ in range(500):
+        v = np.kron(random_ket(rng), random_ket(rng))
+        worst = max(worst, concurrence(np.outer(v, v.conj())))
+    assert worst <= 1e-14
+
+
+_YY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+
+
+def _two_root_concurrence(rho):
+    # reference: independent square roots of rho and of its spin flip
+    def root(m):
+        w, U = np.linalg.eigh(m)
+        roots = np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+        return (U * roots) @ U.conj().swapaxes(-1, -2)
+
+    prod = root(rho) @ root(_YY @ rho.conj() @ _YY)
+    mu = np.linalg.svd(prod, compute_uv=False)
+    return np.maximum(0.0, mu[..., 0] - mu[..., 1] - mu[..., 2] - mu[..., 3])
+
+
+def test_concurrence_matches_two_root_formula(rng):
+    stack = np.array([random_state(rng, rank=r)
+                      for r in (2, 3, 4) for _ in range(100)])
+    reference = _two_root_concurrence(stack)
+    assert np.abs(concurrence(stack) - reference).max() <= 1e-12
+    for rho, c in zip(stack, reference):
+        assert abs(concurrence(rho) - c) <= 1e-12
+
+
+def test_concurrence_takes_one_eigh_per_call(rng, monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    concurrence(random_state(rng))
+    assert calls == [(4, 4)]
+    concurrence(np.array([random_state(rng) for _ in range(5)]))
+    assert calls == [(4, 4), (5, 4, 4)]
+
+
 def test_concurrence_against_xstate_oracle(rng):
     worst = 0.0
     for _ in range(200):
@@ -195,6 +243,13 @@ def test_generation_predicts_short_time_negativity(rng):
         assert np.isclose(tr.min_pt_eig[-1] / 1e-3,
                           verdict.witness_eigenvalue_rate, rtol=0.05)
     assert confirmed >= 8
+
+
+def test_closed_form_delta_at_rounded_boundary():
+    # sqrt(2R)**2 exceeds 2R by one ulp here; Delta must not dip below |1 - 2R|
+    R = 0.46875
+    out = concurrence_closed(np.sqrt(2 * R), R, 0.0)
+    assert out["Delta"] == abs(1 - 2 * R)
 
 
 @settings(max_examples=60, deadline=None)

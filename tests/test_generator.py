@@ -15,7 +15,7 @@ from pairbath.generator import (RECORD_CHUNK, IntegrationAccuracyError,
                                 _rk4_step, diagonal_form_check, evolve,
                                 evolve_general, rate_scale, rhs_components,
                                 rhs_equal_blocks, rhs_general)
-from pairbath.pauli_algebra import (P_SINGLET, PauliCoefficients,
+from pairbath.pauli_algebra import (P_SINGLET, TAU_ENTRIES, PauliCoefficients,
                                     assemble_matrices, convert, tau_of)
 
 from conftest import (oracle_propagate, oracle_rhs, random_aligned_bath,
@@ -117,6 +117,19 @@ def test_evolve_matches_stepwise_rk4(rng, sample_every):
         assert np.array_equal(tr.times, times)
         got = np.array([c.as_vector() for c in tr.states])
         assert np.abs(got - samples).max() <= 1e-12
+
+
+@pytest.mark.parametrize("sample_every", [1, 7])
+def test_trajectory_stores_one_coefficient_array(rng, sample_every):
+    tr = evolve(convert(random_state(rng)), random_offaxis_bath(rng),
+                t_end=3.0, dt=0.01, sample_every=sample_every)
+    assert tr.coeffs.dtype == float
+    assert tr.coeffs.shape == (len(tr.times), 15)
+    states = tr.states
+    assert len(states) == len(tr.times)
+    for k, c in enumerate(states):
+        assert c.as_vector().tobytes() == tr.coeffs[k].tobytes()
+    assert np.array_equal(tr.tau, tr.coeffs[:, TAU_ENTRIES].sum(axis=1))
 
 
 @pytest.mark.parametrize("sample_every", [1, 7, 10 ** 6])
