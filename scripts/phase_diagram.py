@@ -18,8 +18,9 @@ import sys
 
 import numpy as np
 
-from pairbath import (PauliCoefficients, concurrence_closed, evolve,
-                      make_bath, stationary_family)
+from pairbath import (PauliCoefficients, concurrence, concurrence_closed,
+                      evolve, make_bath, stationary_family)
+from pairbath.pauli_algebra import assemble_matrices
 
 
 def canonical_state(tau):
@@ -83,7 +84,7 @@ def main(argv=None):
             fam = stationary_family(block)
             for tau in (-3.0, -1.5, 0.5):
                 tr = evolve(canonical_state(tau), block, sample_every=10 ** 6)
-                c_num = tr.concurrence[-1]
+                c_num = concurrence(assemble_matrices(tr.coeffs[-1]))
                 c_closed = concurrence_closed(fam.M, fam.R, tau)["C"]
                 worst = max(worst, abs(c_num - c_closed))
         print(f"integration spot-check: max |closed - evolved| = {worst:.3e}")

@@ -19,6 +19,7 @@ import numpy as np
 
 from pairbath import (concurrence, concurrence_closed, convert, evolve,
                       make_bath, stationary_family, tau_of, werner_state)
+from pairbath.pauli_algebra import assemble_matrices
 
 
 def measure(block, family, s):
@@ -26,7 +27,7 @@ def measure(block, family, s):
     c0 = concurrence(convert(start))
     closed = concurrence_closed(family.M, family.R, tau_of(start))
     trajectory = evolve(start, block, sample_every=10 ** 6)
-    c_inf = trajectory.concurrence[-1]
+    c_inf = concurrence(assemble_matrices(trajectory.coeffs[-1]))
     predicted = 2 * s * (1 - (2 + closed["Delta"]) / (3 + 2 * family.R))
     # the linear prediction describes the regime where neither endpoint
     # clamps to zero (2s <= 1 keeps C0 = 1 - 2s unclamped; an entangled

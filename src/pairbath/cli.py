@@ -18,7 +18,7 @@ from .config import (ConfigError, build_block, build_initial, load_config,
                      werner_state)
 from .entanglement import concurrence, concurrence_closed
 from .generator import IntegrationAccuracyError, evolve
-from .pauli_algebra import PauliCoefficients, tau_of
+from .pauli_algebra import PauliCoefficients, assemble_matrices, tau_of
 from .steady_state import (ClosedFormNotApplicable, equilibrium_components,
                            liouvillian_null_space, stationary_family,
                            stationary_member)
@@ -155,7 +155,7 @@ def _sweep_rows(cfg, param, values):
         tr = evolve(initial, block,
                     t_end=cfg.integrator["t_end"], dt=cfg.integrator["dt"],
                     sample_every=max(cfg.integrator["sample_every"], 100))
-        c_evolved = tr.concurrence[-1]
+        c_evolved = concurrence(assemble_matrices(tr.coeffs[-1]))
         if s_here is not None:
             delta_c = 2 * s_here * (1 - (2 + closed["Delta"]) / (3 + 2 * fam.R))
             delta_str = _fmt(delta_c)
@@ -192,13 +192,13 @@ def cmd_check():
 
 
 def _parse_values(text):
-    error = ConfigError(f"values: expected a comma-separated list of "
-                        f"finite numbers, got {text!r}")
+    error = ConfigError(f"values: expected a non-empty comma-separated list "
+                        f"of finite numbers, got {text!r}")
     try:
         values = [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
         raise error from None
-    if not all(math.isfinite(v) for v in values):
+    if not values or not all(math.isfinite(v) for v in values):
         raise error
     return values
 

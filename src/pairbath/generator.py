@@ -5,12 +5,17 @@ can cross-check each other: the matrix form over the collective operators,
 the 15 coupled component equations, and the diagonal form through the
 square root of the bath block.  A fourth, fully general form accepts an
 arbitrary 6x6 PSD coefficient matrix and serves as the oracle for the
-equal-block specialization.  The production path compiles the component
-equations once into their affine form (`compile_generator`), which both
-`evolve` and the null-space solver use.
+equal-block specialization.  The production path compiles the generator
+into its affine form (`compile_generator`), which both `evolve` and the
+null-space solver use.  The component equations are linear in the nine
+bath parameters, so the compiled form is one contraction of those
+parameters with a tensor built once, on first use, from `rhs_components`
+on unit baths.
 """
 
 from dataclasses import dataclass
+from functools import cache, cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -23,8 +28,9 @@ _SIG_PROD = [[BIG_SIGMA[i] @ BIG_SIGMA[j] for j in range(3)] for i in range(3)]
 
 _F_OPS = [np.kron(s, IDENT2) for s in SIGMA] + [np.kron(IDENT2, s) for s in SIGMA]
 
-# Samples whose observables `evolve` computes in one batch.  A bounded batch
-# keeps the eigh/SVD temporaries small however many samples a run takes.
+# Samples that `evolve` checks, or whose observables `Trajectory` computes, in
+# one batch.  A bounded batch keeps the eigh/SVD temporaries small however
+# many samples a run takes.
 RECORD_CHUNK = 256
 
 
@@ -78,18 +84,48 @@ def rhs_components(state, block):
     return PauliCoefficients(d0, d1, dij)
 
 
+# the six independent entries of a symmetric A, in _bath_tensor's order
+_TRIU = np.triu_indices(3)
+
+
+@cache
+def _bath_tensor():
+    """(9, 15, 16) tensor T with [L | c0] = sum_p theta_p T[p].
+
+    theta holds the six upper-triangle entries of A, then B.  Each T[p] is
+    `rhs_components` on one unit bath: at the 15 unit vectors minus at the
+    zero state (columns 0-14), and at the zero state (column 15).  Unit
+    baths are not positive, so they bypass `make_bath`; `rhs_components`
+    reads only A, B and A_tr.  Read-only, as every caller shares it.
+    """
+    units = []
+    for i, j in zip(*_TRIU):
+        A = np.zeros((3, 3))
+        A[i, j] = A[j, i] = 1.0
+        units.append(SimpleNamespace(A=A, B=np.zeros(3), A_tr=np.trace(A)))
+    for B in np.eye(3):
+        units.append(SimpleNamespace(A=np.zeros((3, 3)), B=B, A_tr=0.0))
+    T = np.empty((9, 15, 16))
+    for p, unit in enumerate(units):
+        c0 = rhs_components(PauliCoefficients.zero(), unit).as_vector()
+        for k, e in enumerate(np.eye(15)):
+            T[p, :, k] = rhs_components(PauliCoefficients.from_vector(e), unit).as_vector() - c0
+        T[p, :, 15] = c0
+    T.flags.writeable = False
+    return T
+
+
 def compile_generator(block):
     """15x15 matrix L and offset c0 with d(coeffs)/dt = L coeffs + c0.
 
-    The component equations are affine in the 15 coefficients, so 16
-    evaluations of `rhs_components` (at zero and at each unit vector) give
-    the whole map.  This is the only production form of the generator.
+    The component equations are linear in the six independent entries of A
+    and the three of B, so [L | c0] is one contraction of those nine
+    numbers with `_bath_tensor`.  This is the only production form of the
+    generator; `rhs_components` is the source of the tensor and a check.
     """
-    c0 = rhs_components(PauliCoefficients.zero(), block).as_vector()
-    L = np.empty((15, 15))
-    for k, e in enumerate(np.eye(15)):
-        L[:, k] = rhs_components(PauliCoefficients.from_vector(e), block).as_vector() - c0
-    return L, c0
+    theta = np.concatenate([block.A[_TRIU], block.B])
+    G = (theta @ _bath_tensor().reshape(9, 240)).reshape(15, 16)
+    return G[:, :15], G[:, 15]
 
 
 def rhs_general(state, C):
@@ -142,23 +178,50 @@ def diagonal_form_check(block, state):
 
 @dataclass
 class Trajectory:
-    """Sampled solution of the master equation with per-sample observables.
+    """Sampled solution of the master equation.
 
     `coeffs` is the (n, 15) array of sampled coefficient vectors, one row
-    per entry of `times`, in `PauliCoefficients.as_vector` order.
+    per entry of `times`, in `PauliCoefficients.as_vector` order, and `tau`
+    their correlation traces.  The per-sample observables `trace_err`,
+    `min_pt_eig` and `concurrence` are computed from `coeffs` on first
+    read, all three together in batches of RECORD_CHUNK, and kept.  A
+    caller that needs only the final state reads `coeffs[-1]`.
     """
 
     times: np.ndarray
     coeffs: np.ndarray
     tau: np.ndarray
-    trace_err: np.ndarray
-    min_pt_eig: np.ndarray
-    concurrence: np.ndarray
 
     @property
     def states(self):
         """Per-sample PauliCoefficients built from `coeffs` anew on each access."""
         return [PauliCoefficients.from_vector(v) for v in self.coeffs]
+
+    @cached_property
+    def _observables(self):
+        trace_err, min_pt_eig, conc = np.empty((3, len(self.times)))
+        for lo in range(0, len(self.times), RECORD_CHUNK):
+            part = slice(lo, lo + RECORD_CHUNK)
+            mats = assemble_matrices(self.coeffs[part])
+            trace_err[part] = np.abs(np.trace(mats, axis1=-2, axis2=-1).real - 1.0)
+            min_pt_eig[part] = partial_transpose(mats)[1]
+            conc[part] = concurrence(mats)
+        return trace_err, min_pt_eig, conc
+
+    @property
+    def trace_err(self):
+        """|trace - 1| of each sampled state, an integrator-health diagnostic."""
+        return self._observables[0]
+
+    @property
+    def min_pt_eig(self):
+        """Smallest eigenvalue of each sample's partial transpose."""
+        return self._observables[1]
+
+    @property
+    def concurrence(self):
+        """Wootters concurrence of each sample."""
+        return self._observables[2]
 
 
 def rate_scale(block):
@@ -197,8 +260,7 @@ def _check_samples(vectors, times):
     """Raise on the first sample, in time order, that is not a state.
 
     A sample fails with a non-finite coefficient or an eigenvalue below
-    STATE_EIG_FLOOR, the floor `concurrence` accepts.  Returns the sample
-    matrices.
+    STATE_EIG_FLOOR, the floor `concurrence` accepts.
     """
     finite = np.isfinite(vectors).all(axis=1)
     n_ok = len(finite) if finite.all() else int(np.argmin(finite))
@@ -212,7 +274,6 @@ def _check_samples(vectors, times):
     if n_ok < len(finite):
         raise IntegrationAccuracyError(
             f"non-finite state coefficients at t={times[n_ok]:.6g}; reduce dt")
-    return mats
 
 
 def evolve(initial, block, t_end=None, dt=None, sample_every=10):
@@ -223,13 +284,14 @@ def evolve(initial, block, t_end=None, dt=None, sample_every=10):
     every `sample_every` steps plus the final time.  The generator is
     compiled once and RK4 is applied as one 16x16 step matrix; the stride
     between samples is its `sample_every`-th power, so positivity is checked
-    at the sampled states.  All samples are propagated first; their
-    observables are then computed in batches of RECORD_CHUNK.  The trace is
-    structurally conserved by the component representation; trace_err
-    reports the reconstruction deviation as an integrator-health diagnostic.
-    The first sampled state, in time order, with a non-finite coefficient or
-    an eigenvalue below STATE_EIG_FLOOR (-1e-8) aborts with a suggestion to
-    reduce dt.
+    at the sampled states.  All samples are propagated first, then checked
+    in batches of RECORD_CHUNK: the first sampled state, in time order,
+    with a non-finite coefficient or an eigenvalue below STATE_EIG_FLOOR
+    (-1e-8) aborts with a suggestion to reduce dt.  The returned
+    `Trajectory` computes its per-sample observables only when one is
+    read.  The trace is structurally conserved by the component
+    representation; trace_err reports the reconstruction deviation as an
+    integrator-health diagnostic.
     """
     scale = rate_scale(block)
     if dt is None:
@@ -258,18 +320,11 @@ def evolve(initial, block, t_end=None, dt=None, sample_every=10):
             np.dot(np.linalg.matrix_power(step, rest), Y[-2], out=Y[-1])
 
     vectors = Y[:, :15]
-    trace_err, min_pt_eig, conc = np.empty((3, len(times)))
     for lo in range(0, len(times), RECORD_CHUNK):
         part = slice(lo, lo + RECORD_CHUNK)
-        mats = _check_samples(vectors[part], times[part])
-        trace_err[part] = np.abs(np.trace(mats, axis1=-2, axis2=-1).real - 1.0)
-        min_pt_eig[part] = partial_transpose(mats)[1]
-        conc[part] = concurrence(mats)
-
+        _check_samples(vectors[part], times[part])
     return Trajectory(times=times, coeffs=vectors,
-                      tau=vectors[:, TAU_ENTRIES].sum(axis=1),
-                      trace_err=trace_err, min_pt_eig=min_pt_eig,
-                      concurrence=conc)
+                      tau=vectors[:, TAU_ENTRIES].sum(axis=1))
 
 
 def evolve_general(state, C, t_end, dt):

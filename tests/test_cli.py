@@ -11,7 +11,7 @@ from pairbath import cli
 from pairbath.config import (ConfigError, build_block, build_initial,
                              load_config, parse_config, run_seed, serialize,
                              werner_state)
-from pairbath.generator import _rk4_step, rhs_components
+from pairbath.generator import _rk4_step, evolve, rhs_components
 from pairbath.pauli_algebra import PauliCoefficients, convert, tau_of
 
 
@@ -403,6 +403,27 @@ def test_sweep_non_finite_value_exit_1(tmp_path, capsys, param, values):
                      "--values", values, "--out", str(tmp_path / "x.csv")])
     assert code == 1
     assert "values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values", [",", "", " , "])
+def test_sweep_empty_value_list_exit_1(tmp_path, capsys, values):
+    cfg = write_config(tmp_path, BASE)
+    out = tmp_path / "x.csv"
+    code = cli.main(["sweep", "--config", cfg, "--param", "s",
+                     "--values", values, "--out", str(out)])
+    assert code == 1
+    assert "values" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_c_evolved_is_final_trajectory_concurrence(tmp_path):
+    cfg = load_config(write_config(tmp_path, BASE))
+    rows = list(cli._sweep_rows(cfg, "s", [0.0, 0.25, 0.6]))
+    for value, _, c_evolved, _ in rows:
+        tr = evolve(werner_state(value), build_block(cfg),
+                    t_end=cfg.integrator["t_end"], dt=cfg.integrator["dt"],
+                    sample_every=max(cfg.integrator["sample_every"], 100))
+        assert c_evolved == tr.concurrence[-1]
 
 
 def test_sweep_B_values(tmp_path):

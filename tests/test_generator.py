@@ -1,5 +1,6 @@
 """Generator forms, conservation laws, and the fixed-step integrator."""
 
+import math
 import re
 
 import numpy as np
@@ -12,11 +13,13 @@ from pairbath.bath import assemble_full_C, make_bath
 from pairbath.config import product_state, werner_state
 from pairbath.entanglement import concurrence, partial_transpose
 from pairbath.generator import (RECORD_CHUNK, IntegrationAccuracyError,
-                                _rk4_step, diagonal_form_check, evolve,
-                                evolve_general, rate_scale, rhs_components,
-                                rhs_equal_blocks, rhs_general)
+                                _bath_tensor, _rk4_step, compile_generator,
+                                diagonal_form_check, evolve, evolve_general,
+                                rate_scale, rhs_components, rhs_equal_blocks,
+                                rhs_general)
 from pairbath.pauli_algebra import (P_SINGLET, TAU_ENTRIES, PauliCoefficients,
                                     assemble_matrices, convert, tau_of)
+from pairbath.selfcheck import random_block
 
 from conftest import (oracle_propagate, oracle_rhs, random_aligned_bath,
                       random_ket, random_offaxis_bath, random_state,
@@ -176,6 +179,8 @@ def test_first_failure_past_a_chunk_boundary_is_reported():
 
 
 def test_evolve_compiles_generator_once(rng, monkeypatch):
+    # the bath tensor costs 16 rhs_components calls on each of 9 unit baths,
+    # once per process; every compile after that makes none
     calls = []
 
     def counting(state, block):
@@ -183,8 +188,58 @@ def test_evolve_compiles_generator_once(rng, monkeypatch):
         return rhs_components(state, block)
 
     monkeypatch.setattr("pairbath.generator.rhs_components", counting)
+    _bath_tensor.cache_clear()
+    _bath_tensor()
+    assert len(calls) == 9 * 16
+    calls.clear()
     evolve(convert(random_state(rng)), random_aligned_bath(rng))
-    assert len(calls) <= 16
+    assert calls == []
+
+
+def _compile_by_evaluation(block):
+    """Reference [L | c0]: rhs_components at zero and at each unit vector."""
+    c0 = rhs_components(PauliCoefficients.zero(), block).as_vector()
+    L = np.empty((15, 15))
+    for k, e in enumerate(np.eye(15)):
+        L[:, k] = rhs_components(PauliCoefficients.from_vector(e), block).as_vector() - c0
+    return np.column_stack([L, c0])
+
+
+def test_compiled_generator_matches_evaluations(rng):
+    blocks = [random_block(rng) for _ in range(200)]
+    blocks.append(make_bath(np.zeros((3, 3)), np.zeros(3)))
+    A = random_block(rng).A
+    blocks.append(make_bath(A, np.zeros(3)))
+    boundary = make_bath(np.diag([1.0, 1.0, 0.8]), [0, 0, 1.0])  # f = 1
+    assert boundary.boundary
+    blocks.append(boundary)
+    for blk in blocks:
+        expected = _compile_by_evaluation(blk)
+        got = np.column_stack(compile_generator(blk))
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("first", ["trace_err", "min_pt_eig", "concurrence"])
+def test_observables_are_computed_on_first_read(rng, monkeypatch, first):
+    calls = {"concurrence": 0, "partial_transpose": 0}
+    for name, fn in (("concurrence", concurrence),
+                     ("partial_transpose", partial_transpose)):
+        def counting(mats, fn=fn, name=name):
+            calls[name] += 1
+            return fn(mats)
+        monkeypatch.setattr(f"pairbath.generator.{name}", counting)
+    # 601 samples span three RECORD_CHUNK batches
+    blk = random_aligned_bath(rng)
+    dt = 0.01 / rate_scale(blk)
+    tr = evolve(convert(random_state(rng)), blk, t_end=600 * dt, dt=dt,
+                sample_every=1)
+    assert calls == {"concurrence": 0, "partial_transpose": 0}
+    chunks = math.ceil(len(tr.times) / RECORD_CHUNK)
+    assert chunks == 3
+    getattr(tr, first)
+    assert calls == {"concurrence": chunks, "partial_transpose": chunks}
+    tr.trace_err, tr.min_pt_eig, tr.concurrence
+    assert calls == {"concurrence": chunks, "partial_transpose": chunks}
 
 
 def test_evolve_default_horizon_scales(rng):
