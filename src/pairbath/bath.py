@@ -8,16 +8,13 @@ symmetric part A and a real vector B,
 which must be positive semi-definite for the evolution to be completely
 positive.  The closed-form stationary results need the frame in which A is
 diagonal and B points along the third axis; `principal_frame` constructs it
-when the geometry allows (B an eigenvector of A, possibly after exploiting
-eigenvalue degeneracies).
+when B is an eigenvector of A.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-from .pauli_algebra import levi_civita
 
 
 class BathValidityError(ValueError):
@@ -28,12 +25,8 @@ def hermitian_block(A, B):
     """Assemble the Hermitian combination of a symmetric A and a vector B."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    imag = np.zeros((3, 3))
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                imag[i, j] += levi_civita(i, j, k) * B[k]
-    return A + 1j * imag
+    # row j is B x e_j, whose entry k is sum_i eps_jki B[i]
+    return A + 1j * np.cross(B, np.eye(3))
 
 
 @dataclass(frozen=True)
@@ -97,12 +90,15 @@ class PrincipalFrame:
 
     rotation diagonalizes A with eigenvalues lam in descending order
     (rotation @ A @ rotation.T = diag(lam), det +1); B_rot = rotation @ B.
-    closed_form_applicable is True when B_rot lies along a coordinate axis
-    within angle 1e-10 (always true for B = 0).
+    closed_form_applicable is True when B is an eigenvector of A: with
+    u = B/|B|, ||A u - (u.A u) u|| <= 1e-10 max(1, max|lam|) (always true
+    for B = 0).
 
-    The aligned_* fields give the relabeled frame the closed forms assume:
-    B along axis 3 with aligned_b = |B| >= 0 and the remaining axes ordered
-    so aligned_lam[0] >= aligned_lam[1].  They are None when not applicable.
+    The aligned_* fields give the frame the closed forms assume: B along
+    axis 3 with aligned_b = |B| >= 0, and the first two axes diagonalizing
+    A on the plane transverse to B with aligned_lam[0] >= aligned_lam[1];
+    aligned_lam[2] = u.A u.  For B = 0 the aligned frame is rotation.  They
+    are None when not applicable.
     """
 
     rotation: np.ndarray
@@ -115,93 +111,50 @@ class PrincipalFrame:
     aligned_b: float | None
 
 
-def _fix_signs(V, det_positive=True):
-    # first component of magnitude above 1e-12 made positive, column by column
-    V = V.copy()
-    for c in range(V.shape[1]):
-        col = V[:, c]
-        for x in col:
-            if abs(x) > 1e-12:
-                if x < 0:
-                    V[:, c] = -col
-                break
-    if det_positive and np.linalg.det(V) < 0:
-        V[:, -1] *= -1  # det invariant wins over the sign rule for one column
-    return V
-
-
 def principal_frame(block):
-    """Eigen-frame of A with deterministic ordering and B alignment.
+    """Eigen-frame of A, and the frame aligned with B when B is an eigenvector.
 
-    Descending eigenvalues; ties broken by making the first nonzero component
-    of each eigenvector positive (one column re-flipped if needed for det +1).
-    Within a degenerate eigenvalue cluster the basis is rotated so that the
-    projection of B onto the cluster lies along a single axis; B is alignable
-    exactly when its projections concentrate in one cluster.
+    rotation holds the eigenvectors of A as rows, eigenvalues descending,
+    the last row flipped if needed for det +1.  With u = B/|B|, the closed
+    form applies when the residual ||A u - (u.A u) u|| is at most
+    1e-10 max(1, max|lam|); the aligned frame is then the 2x2
+    eigendecomposition of A on the plane transverse to u (larger rate
+    first), followed by u, the second row flipped if needed for det +1.
+    The steady state depends on that frame G only through G.T diag(.) G and
+    the direction u, so row signs and the basis inside a degenerate plane
+    do not matter.
     """
-    A = block.A
+    A, B = block.A, block.B
     w, V = np.linalg.eigh(A)
-    order = np.argsort(w)[::-1]
-    lam = w[order]
-    V = V[:, order]
-
-    scale = max(1.0, float(np.abs(lam).max()))
-    clusters = []
-    start = 0
-    for i in range(1, 3):
-        if lam[start] - lam[i] > 1e-10 * scale:
-            clusters.append(list(range(start, i)))
-            start = i
-    clusters.append(list(range(start, 3)))
-
-    B = block.B
-    bnorm = float(np.linalg.norm(B))
-    applicable = True
-    axis = None
-    if bnorm > 0.0:
-        projs = [V[:, c] @ (V[:, c].T @ B) for c in clusters]
-        weights = [float(np.linalg.norm(p)) for p in projs]
-        best = int(np.argmax(weights))
-        applicable = bool(np.linalg.norm(B - projs[best]) <= 1e-10 * bnorm)
-        if applicable:
-            cols = clusters[best]
-            if len(cols) > 1:
-                # rotate the degenerate subspace so one axis follows B
-                u = projs[best] / weights[best]
-                basis = [u]
-                for c in cols:
-                    v = V[:, c] - sum(b * (b @ V[:, c]) for b in basis)
-                    if np.linalg.norm(v) > 1e-8:
-                        basis.append(v / np.linalg.norm(v))
-                V[:, cols] = np.column_stack(basis[:len(cols)])
-            # locate the axis carrying B after the rotation
-            comps = np.abs(V.T @ B)
-            axis = int(np.argmax(comps))
-
-    V = _fix_signs(V)
-    rotation = V.T
+    lam = w[::-1]
+    rotation = V[:, ::-1].T.copy()
+    if np.linalg.det(rotation) < 0:
+        rotation[2] *= -1
     B_rot = rotation @ B
 
-    aligned_rotation = aligned_lam = aligned_b = None
-    if applicable:
-        if bnorm == 0.0:
-            axis = 2  # no preferred direction; keep descending order
-        others = [i for i in range(3) if i != axis]
-        # remaining axes ordered by descending eigenvalue
-        if lam[others[0]] < lam[others[1]]:
-            others = others[::-1]
-        perm = others + [axis]
-        G = rotation[perm, :].copy()
-        if (G @ B)[2] < 0:
-            G[2, :] *= -1  # aligned frame wants b >= 0
-        if np.linalg.det(G) < 0:
-            G[1, :] *= -1
-        aligned_rotation = G
-        aligned_lam = lam[perm].copy()
-        aligned_b = bnorm
+    bnorm = float(np.linalg.norm(B))
+    applicable = True
+    aligned_rotation, aligned_lam, aligned_b = rotation, lam, 0.0
+    if bnorm > 0.0:
+        u = B / bnorm
+        Au = A @ u
+        lam_u = float(u @ Au)
+        scale = max(1.0, float(np.abs(lam).max()))
+        applicable = bool(np.linalg.norm(Au - lam_u * u) <= 1e-10 * scale)
+        aligned_rotation = aligned_lam = aligned_b = None
+        if applicable:
+            # the rows of E span the plane transverse to u
+            E = np.linalg.svd(u[None, :])[2][1:]
+            t, W = np.linalg.eigh(E @ A @ E.T)
+            G = np.vstack([W[:, ::-1].T @ E, u])
+            if np.linalg.det(G) < 0:
+                G[1] *= -1
+            aligned_rotation = G
+            aligned_lam = np.array([t[1], t[0], lam_u])
+            aligned_b = bnorm
 
     return PrincipalFrame(rotation=rotation, lam=lam, B_rot=B_rot,
-                          closed_form_applicable=bool(applicable),
+                          closed_form_applicable=applicable,
                           boundary=block.boundary,
                           aligned_rotation=aligned_rotation,
                           aligned_lam=aligned_lam, aligned_b=aligned_b)

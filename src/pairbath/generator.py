@@ -19,7 +19,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .entanglement import STATE_EIG_FLOOR, concurrence, partial_transpose
+from .entanglement import (STATE_EIG_FLOOR, _psd_sqrt, concurrence,
+                           partial_transpose)
 from .pauli_algebra import (BIG_SIGMA, IDENT2, PauliCoefficients, SIGMA,
                             TAU_ENTRIES, assemble_matrices)
 
@@ -156,9 +157,10 @@ def rhs_general(state, C):
 
 def lindblad_operators(block):
     """The three diagonal-form operators V_i = sum_j sqrt[i, j] Sigma_j, with
-    sqrt the Hermitian square root of block.herm (negative eigenvalues clipped)."""
-    w, U = np.linalg.eigh(block.herm)
-    sqrt = U @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ U.conj().T
+    sqrt the Hermitian square root of block.herm (negative eigenvalues
+    clipped; `make_bath` keeps them >= -1e-12, above the -1e-8 floor at
+    which `_psd_sqrt` raises)."""
+    sqrt = _psd_sqrt(block.herm)
     return [sum(sqrt[i, j] * BIG_SIGMA[j] for j in range(3)) for i in range(3)]
 
 

@@ -1,10 +1,14 @@
-"""Bath validation, full coefficient matrix, and principal-frame geometry."""
+"""Bath validation, full coefficient matrix, principal-frame geometry, and the
+stationarity of the closed-form states built in degenerate frames."""
 
 import numpy as np
 import pytest
 
 from pairbath.bath import (BathValidityError, assemble_full_C, hermitian_block,
                            make_bath, principal_frame)
+from pairbath.generator import rhs_equal_blocks
+from pairbath.steady_state import (ClosedFormNotApplicable,
+                                   equilibrium_components, stationary_family)
 
 from conftest import (kossakowski_matrix, random_aligned_bath,
                       random_offaxis_bath, random_rotation)
@@ -154,3 +158,71 @@ def test_frame_deterministic(rng):
     f2 = principal_frame(blk)
     assert np.array_equal(f1.rotation, f2.rotation)
     assert np.array_equal(f1.aligned_rotation, f2.aligned_rotation)
+
+
+def _rotated(lam, Q):
+    A = Q @ np.diag(lam) @ Q.T
+    return 0.5 * (A + A.T)
+
+
+def _degenerate_bath(kind, rng):
+    Q = random_rotation(rng)
+    if kind == "isotropic":
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        return make_bath(1.3 * np.eye(3), 0.7 * direction)
+    A = _rotated([2.0, 2.0, 0.5], Q)
+    if kind == "planar_B_in_plane":
+        theta = rng.uniform(0, 2 * np.pi)
+        B = 0.6 * np.array([np.cos(theta), np.sin(theta), 0.0])
+        return make_bath(A, Q @ B)
+    if kind == "planar_B_on_odd_axis":
+        return make_bath(A, Q @ np.array([0.0, 0.0, 1.2]))
+    return make_bath(A, np.zeros(3))  # "rotated_B_zero"
+
+
+@pytest.mark.parametrize("kind", ["isotropic", "planar_B_in_plane",
+                                  "planar_B_on_odd_axis", "rotated_B_zero"])
+def test_degenerate_frame_states_are_stationary(kind, rng):
+    # the basis chosen inside a degenerate plane must not leak into the states
+    for _ in range(5):
+        blk = _degenerate_bath(kind, rng)
+        fam = stationary_family(blk)
+        states = [fam.rho0_hat] + [equilibrium_components(tau, fam).state
+                                   for tau in (-3.0, -1.0, 0.5, 1.0)]
+        for state in states:
+            assert np.abs(rhs_equal_blocks(state, blk)).max() <= 1e-12
+
+
+def _tilted_bath(rng, lam, axis, angle, b=0.3):
+    # B at `angle` rad from principal axis `axis`, tilted toward the next axis
+    Q = random_rotation(rng)
+    direction = np.zeros(3)
+    direction[axis] = np.cos(angle)
+    direction[(axis + 1) % 3] = np.sin(angle)
+    return make_bath(_rotated(lam, Q), b * Q @ direction)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_applicability_criterion_separated_rates(axis, rng):
+    lam = [3.0, 1.0, 0.2]
+    for _ in range(5):
+        near = _tilted_bath(rng, lam, axis, 1e-12)
+        assert principal_frame(near).closed_form_applicable
+        far = _tilted_bath(rng, lam, axis, 1e-6)
+        assert not principal_frame(far).closed_form_applicable
+        with pytest.raises(ClosedFormNotApplicable):
+            stationary_family(far)
+
+
+def test_applicability_criterion_planar_degeneracy(rng):
+    # every direction inside the degenerate plane is an eigenvector of A
+    Q = random_rotation(rng)
+    A = _rotated([2.0, 2.0, 0.5], Q)
+    for theta in np.linspace(0.0, np.pi, 17):
+        B = 0.6 * Q @ np.array([np.cos(theta), np.sin(theta), 0.0])
+        fr = principal_frame(make_bath(A, B))
+        assert fr.closed_form_applicable
+        G = fr.aligned_rotation
+        assert np.abs(G @ A @ G.T - np.diag(fr.aligned_lam)).max() < 1e-12
+        assert np.allclose(fr.aligned_lam, [2.0, 0.5, 2.0])
