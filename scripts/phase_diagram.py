@@ -18,15 +18,9 @@ import sys
 
 import numpy as np
 
-from pairbath import (PauliCoefficients, concurrence, concurrence_closed,
-                      evolve, make_bath, stationary_family)
-from pairbath.pauli_algebra import assemble_matrices
-
-
-def canonical_state(tau):
-    """Representative initial state with the requested correlation trace."""
-    return PauliCoefficients(np.zeros(3), np.zeros(3),
-                             np.diag([tau / 3.0] * 3))
+from pairbath import concurrence_closed, make_bath, stationary_family
+from pairbath.cli import sweep_rows
+from pairbath.config import parse_config
 
 
 def main(argv=None):
@@ -80,12 +74,9 @@ def main(argv=None):
         # boundary and t = 50/scale no longer reaches the equilibrium
         worst = 0.0
         for f in (0.3, 0.7):
-            block = make_bath(np.diag(lam), np.array([0.0, 0.0, f * b_max]))
-            fam = stationary_family(block)
-            for tau in (-3.0, -1.5, 0.5):
-                tr = evolve(canonical_state(tau), block, sample_every=10 ** 6)
-                c_num = concurrence(assemble_matrices(tr.coeffs[-1]))
-                c_closed = concurrence_closed(fam.M, fam.R, tau)["C"]
+            cfg = parse_config({"bath": {"lambda": lam, "B": [0.0, 0.0, f * b_max]},
+                                "initial": {"werner": {"s": 0.0}}})
+            for _, c_closed, c_num, _ in sweep_rows(cfg, "tau", (-3.0, -1.5, 0.5)):
                 worst = max(worst, abs(c_num - c_closed))
         print(f"integration spot-check: max |closed - evolved| = {worst:.3e}")
     return 0

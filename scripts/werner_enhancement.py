@@ -17,23 +17,9 @@ import sys
 
 import numpy as np
 
-from pairbath import (concurrence, concurrence_closed, convert, evolve,
-                      make_bath, stationary_family, tau_of, werner_state)
-from pairbath.pauli_algebra import assemble_matrices
-
-
-def measure(block, family, s):
-    start = werner_state(s)
-    c0 = concurrence(convert(start))
-    closed = concurrence_closed(family.M, family.R, tau_of(start))
-    trajectory = evolve(start, block, sample_every=10 ** 6)
-    c_inf = concurrence(assemble_matrices(trajectory.coeffs[-1]))
-    predicted = 2 * s * (1 - (2 + closed["Delta"]) / (3 + 2 * family.R))
-    # the linear prediction describes the regime where neither endpoint
-    # clamps to zero (2s <= 1 keeps C0 = 1 - 2s unclamped; an entangled
-    # equilibrium keeps the final value unclamped)
-    valid = 2 * s <= 1 and closed["C"] > 0
-    return c0, c_inf, c_inf - c0, predicted, valid
+from pairbath import concurrence, convert, werner_state
+from pairbath.cli import sweep_rows
+from pairbath.config import parse_config
 
 
 def main(argv=None):
@@ -47,13 +33,19 @@ def main(argv=None):
                         help="number of s values in [0, 3/4]")
     args = parser.parse_args(argv)
 
-    lam = [float(x) for x in args.lam.split(",")]
-    block = make_bath(np.diag(lam), np.array([0.0, 0.0, args.b]))
-    family = stationary_family(block)
+    cfg = parse_config({"bath": {"lambda": [float(x) for x in args.lam.split(",")],
+                                 "B": [0.0, 0.0, args.b]},
+                        "initial": {"werner": {"s": 0.0}}})
 
     rows = []
-    for s in np.linspace(0.0, 0.75, args.points):
-        c0, c_inf, measured, predicted, valid = measure(block, family, s)
+    for s, c_closed, c_inf, predicted in sweep_rows(
+            cfg, "s", np.linspace(0.0, 0.75, args.points)):
+        c0 = concurrence(convert(werner_state(s)))
+        measured = c_inf - c0
+        # the linear prediction describes the regime where neither endpoint
+        # clamps to zero (2s <= 1 keeps C0 = 1 - 2s unclamped; an entangled
+        # equilibrium keeps the final value unclamped)
+        valid = 2 * s <= 1 and c_closed > 0
         rows.append((s, c0, c_inf, measured, predicted, valid))
         note = "" if valid else "  (past threshold, prediction not applicable)"
         print(f"s = {s:6.4f}  C0 = {c0:8.6f}  Cinf = {c_inf:8.6f}  "

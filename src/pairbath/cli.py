@@ -6,6 +6,8 @@ Exit codes: 0 ok, 1 configuration error, 2 integration accuracy failure,
 """
 
 import argparse
+import dataclasses
+import functools
 import json
 import math
 import sys
@@ -13,12 +15,11 @@ import sys
 import numpy as np
 
 from . import selfcheck
-from .bath import BathValidityError, make_bath
-from .config import (ConfigError, build_block, build_initial, load_config,
-                     werner_state)
+from .config import (WERNER_KEY, ConfigError, build_block, build_initial,
+                     load_config)
 from .entanglement import concurrence, concurrence_closed
 from .generator import IntegrationAccuracyError, evolve
-from .pauli_algebra import PauliCoefficients, assemble_matrices, tau_of
+from .pauli_algebra import assemble_matrices, tau_of
 from .steady_state import (ClosedFormNotApplicable, equilibrium_components,
                            liouvillian_null_space, stationary_family,
                            stationary_member)
@@ -70,110 +71,107 @@ def cmd_steady(config_path, numeric_only=False):
     except ClosedFormNotApplicable:
         if not numeric_only:
             raise
-        sol = liouvillian_null_space(block)
-        member = stationary_member(sol, tau0)
-        report = {"closed_form_applicable": False,
-                  "tau": tau0,
-                  "nullspace": {"dimension": sol["dimension"],
-                                "full_rank_found": sol["full_rank_member"] is not None},
-                  "concurrence_numeric":
-                      None if member is None else concurrence(member)}
-        print(json.dumps(report, indent=2))
-        return 0
+        fam = None
 
-    closed = concurrence_closed(fam.M, fam.R, tau0)
-    eq = equilibrium_components(tau0, fam)
     sol = liouvillian_null_space(block)
     member = stationary_member(sol, tau0)
-    residual = (None if member is None
-                else float(np.abs(member - eq.state).max()))
-    report = {"closed_form_applicable": True,
-              "M": fam.M, "N": fam.N, "R": fam.R,
-              "Delta": closed["Delta"], "threshold": closed["threshold"],
-              "tau": tau0,
-              "components": eq.components,
-              "concurrence_closed": closed["C"],
-              "nullspace": {"dimension": sol["dimension"],
-                            "full_rank_found": sol["full_rank_member"] is not None,
-                            "agreement_residual": residual},
-              "boundary": block.boundary}
+    nullspace = {"dimension": sol["dimension"],
+                 "full_rank_found": sol["full_rank_member"] is not None}
+    if fam is None:
+        report = {"closed_form_applicable": False,
+                  "tau": tau0,
+                  "nullspace": nullspace,
+                  "concurrence_numeric":
+                      None if member is None else concurrence(member)}
+    else:
+        closed = concurrence_closed(fam.M, fam.R, tau0)
+        eq = equilibrium_components(tau0, fam)
+        nullspace["agreement_residual"] = (
+            None if member is None else float(np.abs(member - eq.state).max()))
+        report = {"closed_form_applicable": True,
+                  "M": fam.M, "N": fam.N, "R": fam.R,
+                  "Delta": closed["Delta"], "threshold": closed["threshold"],
+                  "tau": tau0,
+                  "components": eq.components,
+                  "concurrence_closed": closed["C"],
+                  "nullspace": nullspace,
+                  "boundary": block.boundary}
     print(json.dumps(report, indent=2))
     return 0
 
 
-def _sweep_rows(cfg, param, values):
-    base_block = build_block(cfg)
-    initial_key = next(iter(cfg.initial))
+def _sweep_config(cfg, param, value):
+    """The row's configuration: `cfg` with the swept field set to `value`."""
+    bath, initial = cfg.bath, cfg.initial
+    if param == "tau":
+        if not -3.0 <= value <= 1.0:
+            raise ConfigError(f"sweep tau value {value} outside [-3, 1]")
+        # canonical representative of the tau class: singlet/triplet mix
+        initial = {"pauli": {"r0i": [0.0] * 3, "ri0": [0.0] * 3,
+                             "rij": np.diag([value / 3.0] * 3).tolist()}}
+    elif param == "s":
+        if WERNER_KEY not in initial:
+            raise ConfigError("sweep parameter 's' needs a werner initial state")
+        initial = {WERNER_KEY: {"s": value}}
+    elif param == "B":
+        B0 = np.asarray(bath["B"], dtype=float)
+        norm = np.linalg.norm(B0)
+        direction = B0 / norm if norm > 0 else np.array([0.0, 0.0, 1.0])
+        bath = {**bath, "B": (value * direction).tolist()}
+    elif param.startswith("lambda_"):
+        if "lambda" not in bath:
+            raise ConfigError(f"sweep parameter '{param}' needs a bath "
+                              "given by rates, not a full matrix")
+        lam = list(bath["lambda"])
+        lam[int(param[-1]) - 1] = value
+        bath = {**bath, "lambda": lam}
+    else:
+        raise ConfigError(f"unknown sweep parameter {param!r}")
+    return dataclasses.replace(cfg, bath=bath, initial=initial)
 
+
+def sweep_rows(cfg, param, values):
+    """Yield `(value, c_closed, c_evolved, delta_c)` for each swept value.
+
+    Each row evolves `cfg` with one field edited (see `_sweep_config`),
+    sampling every `max(sample_every, 100)` steps.  `delta_c` is the predicted
+    werner-family enhancement, None when the row's state is not werner.
+    The stationary family is rebuilt only when the row's bath changes.
+    """
+    block = build_block(cfg)  # the configured bath must be valid as well
+    bath, fam = cfg.bath, None
     for value in values:
-        block, initial, s_here = base_block, None, None
-        if param == "tau":
-            if not -3.0 <= value <= 1.0:
-                raise ConfigError(f"sweep tau value {value} outside [-3, 1]")
-            # canonical representative of the tau class: singlet/triplet mix
-            initial = PauliCoefficients(np.zeros(3), np.zeros(3),
-                                        np.diag([value / 3.0] * 3))
-        elif param == "s":
-            if initial_key != "werner":
-                raise ConfigError("sweep parameter 's' needs a werner initial state")
-            initial = werner_state(value)  # validates range
-            s_here = value
-        elif param == "B":
-            B0 = np.asarray(cfg.bath["B"], dtype=float)
-            norm = np.linalg.norm(B0)
-            direction = B0 / norm if norm > 0 else np.array([0.0, 0.0, 1.0])
-            A = (np.diag(cfg.bath["lambda"]) if "lambda" in cfg.bath
-                 else np.asarray(cfg.bath["A"], dtype=float))
+        row = _sweep_config(cfg, param, value)
+        if row.bath != bath:
             try:
-                block = make_bath(A, value * direction)
-            except BathValidityError as exc:
-                raise ConfigError(f"sweep B value {value}: {exc}") from None
-        elif param.startswith("lambda_"):
-            if "lambda" not in cfg.bath:
-                raise ConfigError(f"sweep parameter '{param}' needs a bath "
-                                  "given by rates, not a full matrix")
-            idx = int(param[-1]) - 1
-            lam = list(cfg.bath["lambda"])
-            lam[idx] = value
-            try:
-                block = make_bath(np.diag(lam), np.asarray(cfg.bath["B"], dtype=float))
-            except BathValidityError as exc:
+                block = build_block(row)
+            except ConfigError as exc:
                 raise ConfigError(f"sweep {param} value {value}: {exc}") from None
-        else:
-            raise ConfigError(f"unknown sweep parameter {param!r}")
-
-        if initial is None:
-            # this row runs the configured initial state; the enhancement
-            # prediction applies only when that state is in the werner family
-            initial = build_initial(cfg)
-            if initial_key == "werner":
-                s_here = cfg.initial["werner"]["s"]
-
-        fam = stationary_family(block)
-        tau0 = tau_of(initial)
-        closed = concurrence_closed(fam.M, fam.R, tau0)
+            bath, fam = row.bath, None
+        initial = build_initial(row)
+        if fam is None:
+            fam = stationary_family(block)
+        closed = concurrence_closed(fam.M, fam.R, tau_of(initial))
         tr = evolve(initial, block,
-                    t_end=cfg.integrator["t_end"], dt=cfg.integrator["dt"],
-                    sample_every=max(cfg.integrator["sample_every"], 100))
+                    t_end=row.integrator["t_end"], dt=row.integrator["dt"],
+                    sample_every=max(row.integrator["sample_every"], 100))
         c_evolved = concurrence(assemble_matrices(tr.coeffs[-1]))
-        if s_here is not None:
-            delta_c = 2 * s_here * (1 - (2 + closed["Delta"]) / (3 + 2 * fam.R))
-            delta_str = _fmt(delta_c)
-        else:
-            delta_str = ""
-        yield value, closed["C"], c_evolved, delta_str
+        delta_c = None
+        if WERNER_KEY in row.initial:
+            s = row.initial[WERNER_KEY]["s"]
+            delta_c = 2 * s * (1 - (2 + closed["Delta"]) / (3 + 2 * fam.R))
+        yield value, closed["C"], c_evolved, delta_c
 
 
 def cmd_sweep(config_path, param, values, out_path):
     """One asymptotic-concurrence row per swept value."""
     cfg = load_config(config_path)
-    rows = list(_sweep_rows(cfg, param, values))
+    rows = list(sweep_rows(cfg, param, values))
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(f"# sweep parameter: {param}\n")
         fh.write(SWEEP_HEADER + "\n")
-        for value, c_closed, c_evolved, delta_str in rows:
-            fh.write(",".join([_fmt(value), _fmt(c_closed),
-                               _fmt(c_evolved), delta_str]) + "\n")
+        for row in rows:
+            fh.write(",".join("" if x is None else _fmt(x) for x in row) + "\n")
     return 0
 
 
@@ -203,6 +201,7 @@ def _parse_values(text):
     return values
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="pairbath",

@@ -8,11 +8,14 @@ import pytest
 import pairbath.pauli_algebra
 import pairbath.selfcheck
 from pairbath import cli
+from pairbath.bath import make_bath
 from pairbath.config import (ConfigError, build_block, build_initial,
                              load_config, parse_config, run_seed, serialize,
                              werner_state)
+from pairbath.entanglement import concurrence_closed
 from pairbath.generator import _rk4_step, evolve, rhs_components
 from pairbath.pauli_algebra import PauliCoefficients, convert, tau_of
+from pairbath.steady_state import stationary_family
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -418,12 +421,89 @@ def test_sweep_empty_value_list_exit_1(tmp_path, capsys, values):
 
 def test_sweep_c_evolved_is_final_trajectory_concurrence(tmp_path):
     cfg = load_config(write_config(tmp_path, BASE))
-    rows = list(cli._sweep_rows(cfg, "s", [0.0, 0.25, 0.6]))
+    rows = list(cli.sweep_rows(cfg, "s", [0.0, 0.25, 0.6]))
     for value, _, c_evolved, _ in rows:
         tr = evolve(werner_state(value), build_block(cfg),
                     t_end=cfg.integrator["t_end"], dt=cfg.integrator["dt"],
                     sample_every=max(cfg.integrator["sample_every"], 100))
         assert c_evolved == tr.concurrence[-1]
+
+
+SWEEP_VALUES = {"s": [0.0, 0.25, 0.6], "tau": [-1.0, 0.0, 0.5],
+                "B": [0.0, 0.3, 0.6], "lambda_3": [0.5, 1.0, 2.0]}
+
+
+@pytest.mark.parametrize("param", ["s", "tau", "B", "lambda_3"])
+def test_sweep_family_once_per_bath(tmp_path, monkeypatch, param):
+    # s and tau rows share the configured bath; B and lambda rows each have their own
+    calls = 1 if param in ("s", "tau") else 3
+    seen = []
+
+    def counted(block):
+        seen.append(block)
+        return stationary_family(block)
+
+    monkeypatch.setattr(cli, "stationary_family", counted)
+    cfg = load_config(write_config(tmp_path, BASE))
+    assert len(list(cli.sweep_rows(cfg, param, SWEEP_VALUES[param]))) == 3
+    assert len(seen) == calls
+
+
+def _hand_built_row(cfg, param, value):
+    lam = np.array(cfg.bath["lambda"], dtype=float)
+    B = np.array(cfg.bath["B"], dtype=float)
+    initial = werner_state(cfg.initial["werner"]["s"])
+    if param == "tau":
+        initial = PauliCoefficients(np.zeros(3), np.zeros(3), np.diag([value / 3.0] * 3))
+    elif param == "B":
+        B = value * (B / np.linalg.norm(B))
+    else:
+        lam[2] = value
+    return initial, make_bath(np.diag(lam), B)
+
+
+@pytest.mark.parametrize("param", ["tau", "B", "lambda_3"])
+def test_sweep_rows_match_direct_evolve(tmp_path, param):
+    cfg = load_config(write_config(tmp_path, BASE))
+    rows = list(cli.sweep_rows(cfg, param, SWEEP_VALUES[param]))
+    assert [r[0] for r in rows] == SWEEP_VALUES[param]
+    for value, c_closed, c_evolved, delta_c in rows:
+        initial, block = _hand_built_row(cfg, param, value)
+        fam = stationary_family(block)
+        assert c_closed == concurrence_closed(fam.M, fam.R, tau_of(initial))["C"]
+        tr = evolve(initial, block,
+                    t_end=cfg.integrator["t_end"], dt=cfg.integrator["dt"],
+                    sample_every=max(cfg.integrator["sample_every"], 100))
+        assert c_evolved == tr.concurrence[-1]
+        if param == "tau":
+            assert delta_c is None
+        else:
+            assert isinstance(delta_c, float)
+
+
+@pytest.mark.parametrize("param", ["B", "lambda_1"])
+def test_sweep_invalid_configured_bath_exit_1(tmp_path, capsys, param):
+    # every swept bath is valid, the configured one (|B|^2 > lam1 lam2) is not
+    values = {"B": "0.5,0.6", "lambda_1": "3,4"}[param]
+    cfg = write_config(tmp_path, {"bath": {"lambda": [1, 1, 1], "B": [0, 0, 1.5]},
+                                  "initial": {"werner": {"s": 0.25}}})
+    out = tmp_path / "x.csv"
+    code = cli.main(["sweep", "--config", cfg, "--param", param,
+                     "--values", values, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error: bath: " in err and "sweep" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("param", ["B", "lambda_1"])
+def test_sweep_invalid_row_bath_names_the_value(tmp_path, capsys, param):
+    value = {"B": "2.0", "lambda_1": "0.1"}[param]
+    cfg = write_config(tmp_path, BASE)
+    code = cli.main(["sweep", "--config", cfg, "--param", param,
+                     "--values", f"0.5,{value}", "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert f"sweep {param} value {value}: bath: " in capsys.readouterr().err
 
 
 def test_sweep_B_values(tmp_path):
