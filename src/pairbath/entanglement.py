@@ -1,12 +1,12 @@
 """Entanglement measures and the first-order generation witness.
 
 The numerical concurrence is computed through singular values of
-sqrt(rho) sqrt(rho_tilde), where sqrt(rho_tilde) is the spin flip
-(sigma_y x sigma_y) sqrt(rho)* (sigma_y x sigma_y) of the one square root
-taken.  Pure states, product states included, come within about 1e-15 of
-2|ad - bc|.  The closed-form evaluator mirrors the asymptotic formula in
-(M, R); it ignores N, so it is exact only when 8|N| <= 1 - 2R, and it is
-written so that the singlet input returns exactly 1.0.
+W^T (sigma_y x sigma_y) W, where rho = W W^dagger and W = U diag(sqrt(w))
+comes from the one eigh taken.  Pure states, product states included, come
+within about 1e-15 of 2|ad - bc|.  The closed-form evaluator mirrors the
+asymptotic formula in (M, R); it ignores N, so it is exact only when
+8|N| <= 1 - 2R, and it is written so that the singlet input returns
+exactly 1.0.
 
 `partial_transpose` and `concurrence` accept one 4x4 matrix or a stack of
 shape (..., 4, 4).  One matrix gives Python floats; a stack gives arrays
@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli_algebra import SIGMA
-
-_YY = np.kron(SIGMA[1], SIGMA[1]).real  # sigma_y x sigma_y is real
+# sigma_y x sigma_y is real and antidiagonal; these are its entries from
+# the top row down, as a column that scales the rows of a 4 x n matrix
+_YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
 
 # Smallest eigenvalue a state may show from rounding alone; below it a
 # matrix is not a state (`concurrence` raises, `evolve` aborts).
@@ -42,28 +42,39 @@ def partial_transpose(mat):
     return pt, _float_or_array(np.linalg.eigvalsh(pt).min(axis=-1))
 
 
-def _psd_sqrt(mat, floor=STATE_EIG_FLOOR):
+def _root_factor(mat, floor=STATE_EIG_FLOOR):
+    """W = U diag(sqrt(w)) and U from one eigh, so that mat = W W^dagger.
+
+    Raises when an eigenvalue is below `floor`; those between it and 0 are
+    clipped to 0.
+    """
     w, U = np.linalg.eigh(mat)
-    if w.min() < floor:
+    if (w < floor).any():
         raise ValueError(f"matrix has eigenvalue {w.min():.3e}, not a state")
-    root = np.sqrt(np.clip(w, 0.0, None))[..., None, :]
-    return (U * root) @ U.conj().swapaxes(-1, -2)
+    return U * np.sqrt(np.clip(w, 0.0, None))[..., None, :], U
+
+
+def _psd_sqrt(mat, floor=STATE_EIG_FLOOR):
+    W, U = _root_factor(mat, floor)
+    return W @ U.conj().swapaxes(-1, -2)
 
 
 def concurrence(mat):
     """Two-qubit concurrence of a density matrix.
 
-    Uses mu = singular values of sqrt(rho) sqrt(rho_spin_flipped); these are
-    the canonical eigenvalue roots, but the singular-value route avoids the
-    square-root-of-noisy-eigenvalue amplification near zero modes.  The
-    second root is the spin flip (sigma_y x sigma_y) sqrt(rho)* (sigma_y x
-    sigma_y) of the first (Wootters, PRL 80, 2245, 1998), so one eigh is
-    taken per matrix.  A pure state a|00> + b|01> + c|10> + d|11> returns
-    2|ad - bc| to about 1e-15.
+    With rho = U diag(w) U^dagger from one eigh and W = U diag(sqrt(w)), so
+    that rho = W W^dagger, Wootters' mu (the square roots of the eigenvalues
+    of rho rho_spin_flipped) are the singular values of W^T (sigma_y x
+    sigma_y) W (Wootters, PRL 80, 2245, 1998).  The singular-value route
+    avoids the square-root-of-noisy-eigenvalue amplification near zero
+    modes, and no matrix square root is formed.  A pure state a|00> +
+    b|01> + c|10> + d|11> returns 2|ad - bc| to about 1e-15.  An empty
+    stack gives an empty array.
     """
-    mat = np.asarray(mat, dtype=complex)
-    root = _psd_sqrt(mat)
-    mu = np.linalg.svd(root @ (_YY @ root.conj() @ _YY), compute_uv=False)
+    W, _ = _root_factor(np.asarray(mat, dtype=complex))
+    # (sigma_y x sigma_y) W: rows reversed, with signs (-1, 1, 1, -1)
+    YW = W[..., ::-1, :] * _YY_SIGNS
+    mu = np.linalg.svd(W.swapaxes(-1, -2) @ YW, compute_uv=False)
     c = np.maximum(0.0, mu[..., 0] - mu[..., 1] - mu[..., 2] - mu[..., 3])
     return _float_or_array(c)
 

@@ -34,6 +34,10 @@ _F_OPS = [np.kron(s, IDENT2) for s in SIGMA] + [np.kron(IDENT2, s) for s in SIGM
 # many samples a run takes.
 RECORD_CHUNK = 256
 
+# Samples that `evolve` propagates with one product, from the powers
+# stride^1 ... stride^STRIDE_BLOCK of the step matrix between samples.
+STRIDE_BLOCK = 32
+
 
 class IntegrationAccuracyError(RuntimeError):
     """Positivity was violated beyond tolerance along a trajectory."""
@@ -187,17 +191,15 @@ class Trajectory:
     their correlation traces.  The per-sample observables `trace_err`,
     `min_pt_eig` and `concurrence` are computed from `coeffs` on first
     read, all three together in batches of RECORD_CHUNK, and kept.  A
-    caller that needs only the final state reads `coeffs[-1]`.
+    sample whose partial transpose has no negative eigenvalue is separable
+    (Horodecki, Horodecki & Horodecki, PLA 223, 1, 1996), so its
+    concurrence is set to 0.0 and Wootters' formula runs only on the
+    others.  A caller that needs only the final state reads `coeffs[-1]`.
     """
 
     times: np.ndarray
     coeffs: np.ndarray
     tau: np.ndarray
-
-    @property
-    def states(self):
-        """Per-sample PauliCoefficients built from `coeffs` anew on each access."""
-        return [PauliCoefficients.from_vector(v) for v in self.coeffs]
 
     @cached_property
     def _observables(self):
@@ -207,7 +209,9 @@ class Trajectory:
             mats = assemble_matrices(self.coeffs[part])
             trace_err[part] = np.abs(np.trace(mats, axis1=-2, axis2=-1).real - 1.0)
             min_pt_eig[part] = partial_transpose(mats)[1]
-            conc[part] = concurrence(mats)
+            npt = min_pt_eig[part] < 0
+            conc[part] = 0.0
+            conc[part][npt] = concurrence(mats[npt])
         return trace_err, min_pt_eig, conc
 
     @property
@@ -222,7 +226,7 @@ class Trajectory:
 
     @property
     def concurrence(self):
-        """Wootters concurrence of each sample."""
+        """Wootters concurrence of each sample; exactly 0.0 where min_pt_eig >= 0."""
         return self._observables[2]
 
 
@@ -258,21 +262,40 @@ def _rk4_step_matrix(L, c0, dt):
     return P
 
 
+def _stride_powers(stride, count):
+    """The matrices stride^1 ... stride^count stacked as a (16 count, 16) array.
+
+    Row block j - 1 is stride^j, so one product with a state [c, 1] gives
+    the next `count` samples in order, flattened.
+    """
+    powers = np.empty((count, 16, 16))
+    if count:
+        powers[0] = stride
+    for j in range(1, count):
+        np.dot(stride, powers[j - 1], out=powers[j])
+    return powers.reshape(16 * count, 16)
+
+
 def _check_samples(vectors, times):
     """Raise on the first sample, in time order, that is not a state.
 
     A sample fails with a non-finite coefficient or an eigenvalue below
-    STATE_EIG_FLOOR, the floor `concurrence` accepts.
+    STATE_EIG_FLOOR, the floor `concurrence` accepts.  One batched Cholesky
+    factorization of the samples shifted by that floor clears the usual
+    case; only when it fails are the eigenvalues taken to find the sample.
     """
     finite = np.isfinite(vectors).all(axis=1)
     n_ok = len(finite) if finite.all() else int(np.argmin(finite))
     mats = assemble_matrices(vectors[:n_ok])
-    min_eig = np.linalg.eigvalsh(mats).min(axis=-1)
-    low = np.flatnonzero(min_eig < STATE_EIG_FLOOR)
-    if low.size:
-        k = low[0]
-        raise IntegrationAccuracyError(
-            f"state eigenvalue {min_eig[k]:.3e} at t={times[k]:.6g}; reduce dt")
+    try:
+        np.linalg.cholesky(mats - STATE_EIG_FLOOR * np.eye(4))
+    except np.linalg.LinAlgError:
+        min_eig = np.linalg.eigvalsh(mats).min(axis=-1)
+        low = np.flatnonzero(min_eig < STATE_EIG_FLOOR)
+        if low.size:
+            k = low[0]
+            raise IntegrationAccuracyError(
+                f"state eigenvalue {min_eig[k]:.3e} at t={times[k]:.6g}; reduce dt")
     if n_ok < len(finite):
         raise IntegrationAccuracyError(
             f"non-finite state coefficients at t={times[n_ok]:.6g}; reduce dt")
@@ -286,14 +309,19 @@ def evolve(initial, block, t_end=None, dt=None, sample_every=10):
     every `sample_every` steps plus the final time.  The generator is
     compiled once and RK4 is applied as one 16x16 step matrix; the stride
     between samples is its `sample_every`-th power, so positivity is checked
-    at the sampled states.  All samples are propagated first, then checked
-    in batches of RECORD_CHUNK: the first sampled state, in time order,
-    with a non-finite coefficient or an eigenvalue below STATE_EIG_FLOOR
-    (-1e-8) aborts with a suggestion to reduce dt.  The returned
-    `Trajectory` computes its per-sample observables only when one is
-    read.  The trace is structurally conserved by the component
-    representation; trace_err reports the reconstruction deviation as an
-    integrator-health diagnostic.
+    at the sampled states.  From the powers stride^1 ... stride^STRIDE_BLOCK
+    each block of STRIDE_BLOCK samples is one product with the last state
+    of the block before.  All samples are propagated first, then checked
+    in batches of RECORD_CHUNK, each cleared by one Cholesky factorization
+    when every sample in it is a state: the first sampled state, in time
+    order, with a non-finite coefficient or an eigenvalue below
+    STATE_EIG_FLOOR (-1e-8) aborts with a suggestion to reduce dt.  The
+    returned `Trajectory` computes its per-sample observables only when one
+    is read, and Wootters' concurrence only on samples with a negative
+    partial-transpose eigenvalue (0.0 on the others).  The trace is
+    structurally conserved by the component representation; trace_err
+    reports the reconstruction deviation as an integrator-health
+    diagnostic.
     """
     scale = rate_scale(block)
     if dt is None:
@@ -315,9 +343,11 @@ def evolve(initial, block, t_end=None, dt=None, sample_every=10):
     Y[0] = np.append(initial.as_vector(), 1.0)
     # an unstable step overflows; _check_samples reports it as non-finite
     with np.errstate(over="ignore", invalid="ignore"):
-        stride = np.linalg.matrix_power(step, sample_every)
-        for k in range(1, n_strides + 1):
-            np.dot(stride, Y[k - 1], out=Y[k])
+        powers = _stride_powers(np.linalg.matrix_power(step, sample_every),
+                                min(STRIDE_BLOCK, n_strides))
+        for k in range(0, n_strides, STRIDE_BLOCK):
+            block_rows = Y[k + 1:min(k + STRIDE_BLOCK, n_strides) + 1]
+            np.dot(powers[:block_rows.size], Y[k], out=block_rows.reshape(-1))
         if rest:
             np.dot(np.linalg.matrix_power(step, rest), Y[-2], out=Y[-1])
 

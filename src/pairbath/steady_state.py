@@ -57,7 +57,10 @@ def stationary_family(block):
     apply).  In the aligned frame the two axes transverse to B carry the
     rates lam1 >= lam2; the reference state is assembled there and rotated
     back to the input frame.  At the boundary b^2 = lam1 lam2 the family
-    degenerates to reduced rank, which is reported as a warning.
+    can degenerate to reduced rank (with equal transverse rates it does;
+    for lam = (1, 0.5, 0.2) the reference state keeps a smallest eigenvalue
+    of about 0.0068); a boundary reference state with an eigenvalue below
+    1e-12 is reported as a warning.
     """
     frame = principal_frame(block)
     if not frame.closed_form_applicable:
@@ -66,6 +69,7 @@ def stationary_family(block):
     lam1, lam2, lam3 = frame.aligned_lam
     b = frame.aligned_b
 
+    saturated = False
     if b == 0.0:
         M = N = R = 0.0
     else:
@@ -73,14 +77,15 @@ def stationary_family(block):
         M = 2 * b / (lam1 + lam2)
         N = (lam1 - lam2) * b * b / (2 * (lam1 + lam2) * e2)
         R = (lam1 + lam2 + 4 * lam3) * b * b / (2 * (lam1 + lam2) * e2)
-        if b * b > lam1 * lam2 * (1 - 1e-12):
-            warnings.warn("bath vector saturates b^2 = lam1*lam2; "
-                          "reference state is rank deficient")
+        saturated = b * b > lam1 * lam2 * (1 - 1e-12)
 
     r_al = np.array([0.0, 0.0, M])
     rij_al = np.diag([-2 * N, 2 * N, 2 * R])
     r, rij = _rotate_back(frame, r_al, rij_al)
     rho0 = convert(PauliCoefficients(r, r, rij))
+    if saturated and np.linalg.eigvalsh(rho0).min() < 1e-12:
+        warnings.warn("bath vector saturates b^2 = lam1*lam2; "
+                      "reference state is rank deficient")
     return StationaryFamily(M=M, N=N, R=R, rho0_hat=rho0, frame=frame)
 
 
@@ -174,8 +179,10 @@ def liouvillian_null_space(block, rank_tol=1e-10):
     decomposition (relative threshold `rank_tol`), returning the dimension of
     the solution set, an orthonormal basis of directions, and a member with
     all eigenvalues above 1e-8 located by maximizing the minimum eigenvalue
-    over the set.  The full-rank member is None when the search fails, which
-    is expected exactly at boundary blocks.
+    over the set.  The full-rank member is None when the search fails, as
+    it does on boundary blocks whose stationary family is rank deficient
+    (equal transverse rates, for example); other boundary blocks, such as
+    lam = (1, 0.5, 0.2) with b^2 = lam1 lam2, keep a full-rank member.
     """
     L, c0 = compile_generator(block)
     U, s, Vt = np.linalg.svd(L)

@@ -127,6 +127,11 @@ def test_stacked_kernels_match_single_matrices(rng):
         assert min_eig == min_eigs[idx] and c == concs[idx]
 
 
+def test_concurrence_of_empty_stack_is_empty():
+    c = concurrence(np.zeros((0, 4, 4), dtype=complex))
+    assert isinstance(c, np.ndarray) and c.shape == (0,)
+
+
 def test_concurrence_rejects_non_state():
     with pytest.raises(ValueError, match="not a state"):
         concurrence(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))

@@ -11,12 +11,14 @@ from hypothesis.extra.numpy import arrays
 
 from pairbath.bath import assemble_full_C, make_bath
 from pairbath.config import product_state, werner_state
-from pairbath.entanglement import concurrence, partial_transpose
-from pairbath.generator import (RECORD_CHUNK, IntegrationAccuracyError,
-                                _bath_tensor, _rk4_step, compile_generator,
-                                diagonal_form_check, evolve, evolve_general,
-                                rate_scale, rhs_components, rhs_equal_blocks,
-                                rhs_general)
+from pairbath.entanglement import (concurrence, generation_test,
+                                   partial_transpose)
+from pairbath.generator import (RECORD_CHUNK, STRIDE_BLOCK,
+                                IntegrationAccuracyError, _bath_tensor,
+                                _check_samples, _rk4_step, _rk4_step_matrix,
+                                compile_generator, diagonal_form_check, evolve,
+                                evolve_general, rate_scale, rhs_components,
+                                rhs_equal_blocks, rhs_general)
 from pairbath.pauli_algebra import (P_SINGLET, TAU_ENTRIES, PauliCoefficients,
                                     assemble_matrices, convert, tau_of)
 from pairbath.selfcheck import random_block
@@ -76,7 +78,7 @@ def test_evolve_matches_exponential_oracle(rng):
         t_end = 3.0
         tr = evolve(convert(rho0), blk, t_end=t_end, dt=0.005, sample_every=100)
         expected = oracle_propagate(rho0, blk.A, blk.B, t_end)
-        assert trace_distance(convert(tr.states[-1]), expected) < 1e-9
+        assert trace_distance(assemble_matrices(tr.coeffs[-1]), expected) < 1e-9
 
 
 def test_evolve_sampling_grid(rng):
@@ -86,7 +88,7 @@ def test_evolve_sampling_grid(rng):
     assert tr.times[0] == 0.0
     assert np.isclose(tr.times[-1], 1.0)
     assert np.allclose(np.diff(tr.times), 0.1)
-    assert len(tr.states) == len(tr.times) == len(tr.tau) == len(tr.concurrence)
+    assert len(tr.coeffs) == len(tr.times) == len(tr.tau) == len(tr.concurrence)
     # final time is always sampled even when it misses the stride
     tr2 = evolve(convert(random_state(rng)), blk, t_end=1.0, dt=0.01,
                  sample_every=7)
@@ -118,8 +120,7 @@ def test_evolve_matches_stepwise_rk4(rng, sample_every):
                     sample_every=sample_every)
         times, samples = _stepwise_rk4(initial, blk, n_steps, dt, sample_every)
         assert np.array_equal(tr.times, times)
-        got = np.array([c.as_vector() for c in tr.states])
-        assert np.abs(got - samples).max() <= 1e-12
+        assert np.abs(tr.coeffs - samples).max() <= 1e-12
 
 
 @pytest.mark.parametrize("sample_every", [1, 7])
@@ -128,10 +129,6 @@ def test_trajectory_stores_one_coefficient_array(rng, sample_every):
                 t_end=3.0, dt=0.01, sample_every=sample_every)
     assert tr.coeffs.dtype == float
     assert tr.coeffs.shape == (len(tr.times), 15)
-    states = tr.states
-    assert len(states) == len(tr.times)
-    for k, c in enumerate(states):
-        assert c.as_vector().tobytes() == tr.coeffs[k].tobytes()
     assert np.array_equal(tr.tau, tr.coeffs[:, TAU_ENTRIES].sum(axis=1))
 
 
@@ -148,14 +145,93 @@ def test_batched_recording_matches_per_sample(rng, sample_every):
         for start in starts:
             tr = evolve(start, blk, t_end=n_steps * dt, dt=dt,
                         sample_every=sample_every)
-            mats = assemble_matrices([c.as_vector() for c in tr.states])
-            for k, c in enumerate(tr.states):
+            mats = assemble_matrices(tr.coeffs)
+            for k, v in enumerate(tr.coeffs):
+                c = PauliCoefficients.from_vector(v)
                 mat = convert(c)
                 assert mat.tobytes() == mats[k].tobytes()
                 assert tr.tau[k] == tau_of(c)
                 assert tr.trace_err[k] == abs(np.trace(mat).real - 1.0)
                 assert tr.min_pt_eig[k] == partial_transpose(mat)[1]
                 assert tr.concurrence[k] == concurrence(mat)
+
+
+@pytest.mark.parametrize("n_steps,sample_every", [(750, 10), (5000, 1)])
+def test_blocked_strides_match_sequential_products(rng, n_steps, sample_every):
+    # 75 and 5000 strides with no rest, then 107 and 714 strides with a
+    # rest of 4 and 5 steps; no stride count is a multiple of STRIDE_BLOCK
+    for blk in (random_aligned_bath(rng), random_offaxis_bath(rng)):
+        dt = 0.01 / rate_scale(blk)
+        for n, every in ((n_steps, sample_every), (n_steps + 3, 7)):
+            n_strides, rest = divmod(n, every)
+            assert n_strides % STRIDE_BLOCK
+            initial = convert(random_state(rng))
+            tr = evolve(initial, blk, t_end=n * dt, dt=dt, sample_every=every)
+            step = _rk4_step_matrix(*compile_generator(blk), dt)
+            stride = np.linalg.matrix_power(step, every)
+            y = np.append(initial.as_vector(), 1.0)
+            expected = [y]
+            for _ in range(n_strides):
+                y = stride @ y
+                expected.append(y)
+            if rest:
+                expected.append(np.linalg.matrix_power(step, rest) @ y)
+            expected = np.array(expected)[:, :15]
+            assert tr.coeffs.shape == expected.shape
+            assert np.abs(tr.coeffs - expected).max() <= 1e-12
+
+
+def test_concurrence_is_zero_exactly_on_ppt_samples():
+    # |01> under an isotropic bath with B on z: the bath entangles it at
+    # once, so the first chunk holds the product start (PPT) and entangled
+    # (NPT) samples
+    blk = make_bath(np.eye(3), [0, 0, 0.5])
+    up, down = np.array([1, 0]), np.array([0, 1])
+    assert generation_test(up, down, blk).generated
+    tr = evolve(product_state(up, down), blk, sample_every=1)
+    ppt = tr.min_pt_eig >= 0
+    first = slice(0, RECORD_CHUNK)
+    assert ppt[first].any() and not ppt[first].all()
+    assert np.all(tr.concurrence[ppt] == 0.0)
+    per_sample = np.array([concurrence(assemble_matrices(c))
+                           for c in tr.coeffs[~ppt]])
+    assert np.abs(tr.concurrence[~ppt] - per_sample).max() <= 1e-14
+    assert tr.concurrence.max() > 0.1
+
+
+def _state_with_min_eig(rng, lowest):
+    # a random state whose smallest eigenvalue is moved to `lowest`,
+    # trace kept at 1
+    w, U = np.linalg.eigh(random_state(rng))
+    w[0] = lowest
+    w[1:] += (1.0 - w.sum()) / 3
+    return convert((U * w) @ U.conj().T).as_vector()
+
+
+def test_positivity_screen_passes_rounding_and_finds_failures(rng, monkeypatch):
+    vectors = np.array([_state_with_min_eig(rng, x) for x in
+                        (0.05, 0.0, -5e-9, 0.1, -5e-9, 0.02)])
+    times = np.arange(len(vectors)) * 0.5
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    _check_samples(vectors, times)
+    assert calls == []  # the Cholesky screen clears every sample
+
+    vectors[3] = _state_with_min_eig(rng, -2e-8)
+    vectors[5] = _state_with_min_eig(rng, -3e-8)
+    min_eig = eigvalsh(assemble_matrices(vectors)).min(axis=-1)
+    first = int(np.flatnonzero(min_eig < -1e-8)[0])
+    assert first == 3
+    with pytest.raises(IntegrationAccuracyError,
+                       match=re.escape(f"state eigenvalue {min_eig[first]:.3e} "
+                                       f"at t={times[first]:.6g}; reduce dt")):
+        _check_samples(vectors, times)
 
 
 def test_first_failure_past_a_chunk_boundary_is_reported():
@@ -287,7 +363,7 @@ def test_antisymmetric_components_decay(rng):
     for _ in range(3):
         blk = random_aligned_bath(rng)
         tr = evolve(convert(random_state(rng)), blk, sample_every=10 ** 6)
-        last = tr.states[-1]
+        last = PauliCoefficients.from_vector(tr.coeffs[-1])
         assert np.abs(last.r0i - last.ri0).max() < 1e-8
         assert np.abs(last.rij - last.rij.T).max() < 1e-8
 
@@ -299,7 +375,8 @@ def test_symmetric_sector_is_invariant(rng):
     m = rng.uniform(-0.2, 0.2, (3, 3))
     start = PauliCoefficients(r, r.copy(), (m + m.T) / 4)
     tr = evolve(start, blk, t_end=5.0, dt=0.01, sample_every=50)
-    for c in tr.states:
+    for v in tr.coeffs:
+        c = PauliCoefficients.from_vector(v)
         assert np.abs(c.r0i - c.ri0).max() < 1e-12
         assert np.abs(c.rij - c.rij.T).max() < 1e-12
 
@@ -326,8 +403,7 @@ def test_zero_block_is_static(rng):
     rho = random_state(rng)
     assert np.abs(rhs_equal_blocks(rho, blk)).max() == 0.0
     tr = evolve(convert(rho), blk, t_end=1.0, dt=0.1, sample_every=1)
-    for c in tr.states:
-        assert np.abs(c.as_vector() - tr.states[0].as_vector()).max() < 1e-15
+    assert np.abs(tr.coeffs - tr.coeffs[0]).max() < 1e-15
 
 
 @settings(max_examples=40, deadline=None)

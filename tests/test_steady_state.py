@@ -11,7 +11,7 @@ from pairbath import steady_state
 from pairbath.bath import make_bath
 from pairbath.generator import evolve, rhs_equal_blocks
 from pairbath.pauli_algebra import (P_SINGLET, PauliCoefficients, Q_TRIPLET,
-                                    convert, tau_of)
+                                    assemble_matrices, convert, tau_of)
 from pairbath.steady_state import (ClosedFormNotApplicable, _line_search,
                                    asymptotic_state, commutant_check,
                                    equilibrium_components,
@@ -69,6 +69,17 @@ def test_family_boundary_warns():
     with pytest.warns(UserWarning, match="rank deficient"):
         fam = stationary_family(make_bath(np.diag([1.0, 1.0, 0.6]), [0, 0, 1.0]))
     assert np.linalg.eigvalsh(fam.rho0_hat).min() < 1e-12
+
+
+def test_family_boundary_with_unequal_rates_is_full_rank():
+    # saturated b^2 = lam1 lam2, but the reference state keeps full rank
+    lam = (1.0, 0.5, 0.2)
+    blk = make_bath(np.diag(lam), [0, 0, np.sqrt(lam[0] * lam[1])])
+    assert blk.boundary
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fam = stationary_family(blk)
+    assert abs(np.linalg.eigvalsh(fam.rho0_hat).min() - 0.0068) < 1e-4
 
 
 def test_constraints_on_random_baths(rng):
@@ -148,7 +159,7 @@ def test_asymptotic_matches_long_time_evolution(rng):
         rho0 = random_state(rng)
         target = asymptotic_state(convert(rho0), fam).state
         tr = evolve(convert(rho0), blk, sample_every=10 ** 6)
-        assert trace_distance(convert(tr.states[-1]), target) < 1e-6
+        assert trace_distance(assemble_matrices(tr.coeffs[-1]), target) < 1e-6
 
 
 def test_asymptotic_accepts_matrix_or_coefficients(rng):
