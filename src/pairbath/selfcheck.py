@@ -2,9 +2,12 @@
 
 Every suite is deterministic given the seed (environment-overridable) and
 returns a (name, passed, detail) triple; the CLI prints one PASS/FAIL line
-per suite.  Sizes here are trimmed for a fast smoke run; the test suite
-exercises the same invariants at full published strength.
+per suite, with the suite's wall time.  Sizes here are trimmed for a fast
+smoke run; the test suite exercises the same invariants at full published
+strength.
 """
+
+import time
 
 import numpy as np
 
@@ -210,16 +213,21 @@ SUITES = [
 ]
 
 
-def run_all(seed=None):
-    """Run every suite with a fresh seeded generator; list of result triples."""
+def _run_timed(seed=None):
+    """Yield `(name, passed, detail, seconds)` for each suite in turn, each run
+    with a fresh generator seeded by the run seed and the suite's index."""
     if seed is None:
         seed = run_seed()
-    results = []
-    for name, fn in SUITES:
-        rng = np.random.default_rng([seed, len(results)])
+    for index, (name, fn) in enumerate(SUITES):
+        rng = np.random.default_rng([seed, index])
+        start = time.perf_counter()
         try:
             ok, detail = fn(rng)
         except Exception as exc:  # a crash is a failure, not an abort
             ok, detail = False, f"exception: {exc!r}"
-        results.append((name, ok, detail))
-    return results
+        yield name, ok, detail, time.perf_counter() - start
+
+
+def run_all(seed=None):
+    """Run every suite with a fresh seeded generator; list of result triples."""
+    return [(name, ok, detail) for name, ok, detail, _ in _run_timed(seed)]

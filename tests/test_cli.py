@@ -305,6 +305,43 @@ def test_evolve_eigenvalue_below_concurrence_floor_exit_2(tmp_path, capsys):
     assert -1e-7 <= min_eig < -1e-8
 
 
+def test_evolve_csv_text_is_the_template_text(tmp_path, monkeypatch):
+    # 600 steps sampled every step: 601 rows, written in three chunks
+    cfg = write_config(tmp_path, {**BASE, "integrator":
+                                  {"t_end": 6.0, "dt": 0.01, "sample_every": 1}})
+    cfgp = load_config(cfg)
+    tr = evolve(build_initial(cfgp), build_block(cfgp),
+                t_end=6.0, dt=0.01, sample_every=1)
+    table = np.column_stack([tr.times, tr.tau, tr.trace_err, tr.min_pt_eig,
+                             tr.concurrence, tr.coeffs[:, cli._COEFF_ORDER]])
+    assert len(table) == 601
+    expected = (cli.COEFF_COMMENT + "\n" + cli.TRAJECTORY_HEADER + "\n"
+                + (cli._TRAJECTORY_ROW * len(table)).format(*table.ravel().tolist()))
+
+    kernel, results = cli.format_rows, []
+
+    def spy(rows):
+        results.append(kernel(rows))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "format_rows", spy)
+    out = tmp_path / "fast.csv"
+    assert cli.main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+    assert len(results) == 3 and all(text is not None for text in results)
+    assert out.read_bytes() == expected.encode("ascii")
+
+    # the second chunk refused: formatted by the template instead
+    def refuse_second(rows):
+        results.append(None if len(results) == 4 else kernel(rows))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "format_rows", refuse_second)
+    out = tmp_path / "reference.csv"
+    assert cli.main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+    assert len(results) == 6 and results[4] is None
+    assert out.read_bytes() == expected.encode("ascii")
+
+
 # ------------------------------------------------------------------ steady
 
 def test_steady_report(tmp_path, capsys):
@@ -559,6 +596,17 @@ def test_check_passes(capsys):
     lines = [ln for ln in out.strip().split("\n") if ln]
     assert len(lines) == len(pairbath.selfcheck.SUITES)
     assert all(ln.startswith("PASS") for ln in lines)
+
+
+def test_check_reports_suite_wall_time(monkeypatch, capsys):
+    monkeypatch.setattr(pairbath.selfcheck, "SUITES", pairbath.selfcheck.SUITES[:2])
+    assert cli.main(["check"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert len(lines) == 2
+    for line in lines:
+        detail, seconds = line.rsplit("; ", 1)
+        assert detail.startswith("PASS ")
+        assert seconds.endswith(" s)") and float(seconds[:-3]) >= 0
 
 
 def test_check_deterministic():
