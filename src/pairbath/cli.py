@@ -1,8 +1,9 @@
 """Batch front end: trajectory runs, equilibrium reports, parameter sweeps,
 and the self-check suites.
 
-Exit codes: 0 ok, 1 configuration error, 2 integration accuracy failure,
-3 closed form not applicable (without --numeric-only), 4 self-check failure.
+Exit codes: 0 ok, 1 configuration error or an output file that cannot be
+written, 2 integration accuracy failure, 3 closed form not applicable
+(without --numeric-only), 4 self-check failure.
 """
 
 import argparse
@@ -42,6 +43,32 @@ def _fmt(x):
     return f"{x:.15g}"
 
 
+def _write_text(out_path, pieces):
+    """Write the strings of `pieces` to `out_path`.
+
+    Returns the exit code: 0, or 1 with `cannot write output: ...` on stderr
+    when the file cannot be opened or written.
+    """
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            for piece in pieces:
+                fh.write(piece)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
+def _trajectory_text(table):
+    yield COEFF_COMMENT + "\n" + TRAJECTORY_HEADER + "\n"
+    for lo in range(0, len(table), _ROWS_PER_WRITE):
+        rows = table[lo:lo + _ROWS_PER_WRITE]
+        text = format_rows(rows)
+        if text is None:  # a cell the vectorised formatter cannot certify
+            text = (_TRAJECTORY_ROW * len(rows)).format(*rows.ravel().tolist())
+        yield text
+
+
 def cmd_evolve(config_path, out_path):
     """Integrate the configured run and write the trajectory CSV."""
     cfg = load_config(config_path)
@@ -53,16 +80,7 @@ def cmd_evolve(config_path, out_path):
     table = np.column_stack([tr.times, tr.tau, tr.trace_err, tr.min_pt_eig,
                              tr.concurrence, tr.coeffs[:, _COEFF_ORDER]])
     del tr  # the table holds all that is written; free the samples first
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(COEFF_COMMENT + "\n")
-        fh.write(TRAJECTORY_HEADER + "\n")
-        for lo in range(0, len(table), _ROWS_PER_WRITE):
-            rows = table[lo:lo + _ROWS_PER_WRITE]
-            text = format_rows(rows)
-            if text is None:  # a cell the vectorised formatter cannot certify
-                text = (_TRAJECTORY_ROW * len(rows)).format(*rows.ravel().tolist())
-            fh.write(text)
-    return 0
+    return _write_text(out_path, _trajectory_text(table))
 
 
 def cmd_steady(config_path, numeric_only=False):
@@ -172,12 +190,9 @@ def cmd_sweep(config_path, param, values, out_path):
     """One asymptotic-concurrence row per swept value."""
     cfg = load_config(config_path)
     rows = list(sweep_rows(cfg, param, values))
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(f"# sweep parameter: {param}\n")
-        fh.write(SWEEP_HEADER + "\n")
-        for row in rows:
-            fh.write(",".join("" if x is None else _fmt(x) for x in row) + "\n")
-    return 0
+    lines = [f"# sweep parameter: {param}", SWEEP_HEADER]
+    lines += [",".join("" if x is None else _fmt(x) for x in row) for row in rows]
+    return _write_text(out_path, ["\n".join(lines) + "\n"])
 
 
 def cmd_check():

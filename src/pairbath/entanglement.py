@@ -1,12 +1,14 @@
 """Entanglement measures and the first-order generation witness.
 
 The numerical concurrence is computed through singular values of
-W^T (sigma_y x sigma_y) W, where rho = W W^dagger and W = U diag(sqrt(w))
-comes from the one eigh taken.  Pure states, product states included, come
-within about 1e-15 of 2|ad - bc|.  The closed-form evaluator mirrors the
-asymptotic formula in (M, R); it ignores N, so it is exact only when
-8|N| <= 1 - 2R, and it is written so that the singlet input returns
-exactly 1.0.
+W^T (sigma_y x sigma_y) W, where rho = W W^dagger.  W is rho's Cholesky
+factor; a matrix whose factorization fails or has a pivot below
+_PIVOT_FLOOR (rank-deficient and pure states, and non-states) takes
+W = U diag(sqrt(w)) from eigh instead.  Pure states, product states
+included, come within about 1e-15 of 2|ad - bc|.  The closed-form
+evaluator mirrors the asymptotic formula in (M, R); it ignores N, so it
+is exact only when 8|N| <= 1 - 2R, and it is written so that the singlet
+input returns exactly 1.0.
 
 `partial_transpose` and `concurrence` accept one 4x4 matrix or a stack of
 shape (..., 4, 4).  One matrix gives Python floats; a stack gives arrays
@@ -24,6 +26,11 @@ _YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
 # Smallest eigenvalue a state may show from rounding alone; below it a
 # matrix is not a state (`concurrence` raises, `evolve` aborts).
 STATE_EIG_FLOOR = -1e-8
+
+# Smallest Cholesky pivot L_kk^2 at which `concurrence` keeps the triangular
+# factor.  A smaller pivot marks a rank-deficient or nearly rank-deficient
+# matrix; its eigh factor clips the rounding modes to exactly 0.
+_PIVOT_FLOOR = 1e-12
 
 
 def _float_or_array(x):
@@ -59,19 +66,48 @@ def _psd_sqrt(mat, floor=STATE_EIG_FLOOR):
     return W @ U.conj().swapaxes(-1, -2)
 
 
+def _cholesky_or_nan(mats):
+    """Cholesky factors of an (n, 4, 4) stack, NaN where a member's own
+    factorization fails.
+
+    A batched factorization raises when any member fails, so a failing
+    stack is halved until each failing member stands alone.  Every factor
+    is therefore the one its matrix gives alone, whatever stack it came in.
+    """
+    try:
+        return np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError:
+        if len(mats) == 1:
+            return np.full_like(mats, np.nan)
+        half = len(mats) // 2
+        return np.concatenate([_cholesky_or_nan(mats[:half]),
+                               _cholesky_or_nan(mats[half:])])
+
+
 def concurrence(mat):
     """Two-qubit concurrence of a density matrix.
 
-    With rho = U diag(w) U^dagger from one eigh and W = U diag(sqrt(w)), so
-    that rho = W W^dagger, Wootters' mu (the square roots of the eigenvalues
-    of rho rho_spin_flipped) are the singular values of W^T (sigma_y x
-    sigma_y) W (Wootters, PRL 80, 2245, 1998).  The singular-value route
-    avoids the square-root-of-noisy-eigenvalue amplification near zero
-    modes, and no matrix square root is formed.  A pure state a|00> +
-    b|01> + c|10> + d|11> returns 2|ad - bc| to about 1e-15.  An empty
-    stack gives an empty array.
+    For any W with rho = W W^dagger, Wootters' mu (the square roots of the
+    eigenvalues of rho rho_spin_flipped) are the singular values of
+    W^T (sigma_y x sigma_y) W (Wootters, PRL 80, 2245, 1998).  W is the
+    Cholesky factor of rho.  A matrix whose own factorization fails, or
+    whose smallest pivot L_kk^2 is below _PIVOT_FLOOR, takes
+    W = U diag(sqrt(w)) from eigh instead: one eigh call on exactly those
+    members, which raises when one of them is not a state.  The route is
+    chosen per matrix, so a stack gives each matrix's own value bit for
+    bit.  The singular-value route avoids the square-root-of-noisy-
+    eigenvalue amplification near zero modes, and no matrix square root is
+    formed.  A pure state a|00> + b|01> + c|10> + d|11> returns
+    2|ad - bc| to about 1e-15.  An empty stack gives an empty array.
     """
-    W, _ = _root_factor(np.asarray(mat, dtype=complex))
+    mats = np.asarray(mat, dtype=complex)
+    flat = mats.reshape(-1, 4, 4)
+    W = _cholesky_or_nan(flat)
+    pivots = np.diagonal(W, axis1=-2, axis2=-1).real ** 2
+    weak = ~(pivots.min(axis=-1) >= _PIVOT_FLOOR)  # NaN for a failed factor
+    if weak.any():
+        W[weak] = _root_factor(flat[weak])[0]
+    W = W.reshape(mats.shape)
     # (sigma_y x sigma_y) W: rows reversed, with signs (-1, 1, 1, -1)
     YW = W[..., ::-1, :] * _YY_SIGNS
     mu = np.linalg.svd(W.swapaxes(-1, -2) @ YW, compute_uv=False)

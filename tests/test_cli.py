@@ -260,6 +260,15 @@ def test_evolve_nonpsd_bath_exit_1(tmp_path, capsys):
     assert "eigenvalue" in capsys.readouterr().err
 
 
+def test_evolve_unwritable_out_exit_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE)
+    out = tmp_path / "no" / "such" / "x.csv"
+    assert cli.main(["evolve", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output: ") and str(out) in err
+    assert not out.exists()
+
+
 def test_evolve_unstable_exit_2(tmp_path, capsys):
     # dt * rate far beyond the RK4 stability bound, from a non-stationary
     # start (a werner state would sit exactly on a fixed point here)
@@ -453,6 +462,16 @@ def test_sweep_empty_value_list_exit_1(tmp_path, capsys, values):
                      "--values", values, "--out", str(out)])
     assert code == 1
     assert "values" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_unwritable_out_exit_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE)
+    out = tmp_path / "no" / "such" / "x.csv"
+    assert cli.main(["sweep", "--config", cfg, "--param", "s",
+                     "--values", "0,0.25", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output: ") and str(out) in err
     assert not out.exists()
 
 

@@ -90,19 +90,83 @@ def test_concurrence_matches_two_root_formula(rng):
         assert abs(concurrence(rho) - c) <= 1e-12
 
 
-def test_concurrence_takes_one_eigh_per_call(rng, monkeypatch):
+def _eigh_factor_concurrence(rho):
+    # reference: the eigh factor W = U diag(sqrt(w)), the route `concurrence`
+    # falls back to and the only route it had before the Cholesky factor
+    w, U = np.linalg.eigh(rho)
+    W = U * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    YW = W[..., ::-1, :] * np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
+    mu = np.linalg.svd(W.swapaxes(-1, -2) @ YW, compute_uv=False)
+    return np.maximum(0.0, mu[..., 0] - mu[..., 1] - mu[..., 2] - mu[..., 3])
+
+
+def _state_with_spectrum(rng, spectrum):
+    X = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    U, _ = np.linalg.qr(X)
+    return (U * np.asarray(spectrum, dtype=float)) @ U.conj().T
+
+
+def _spectrum(rng, rank, smallest):
+    # `rank` nonzero eigenvalues summing to 1, the smallest nonzero one
+    # `smallest` (a pure state has just the eigenvalue 1)
+    p = np.zeros(4)
+    if rank == 1:
+        p[0] = 1.0
+    else:
+        rest = rng.uniform(0.1, 1.0, size=rank - 1)
+        p[:rank - 1] = rest * (1.0 - smallest) / rest.sum()
+        p[rank - 1] = smallest
+    return p
+
+
+def test_concurrence_takes_eigh_only_where_cholesky_falls_short(rng, monkeypatch):
     calls = []
     eigh = np.linalg.eigh
 
     def counting_eigh(a, *args, **kwargs):
-        calls.append(np.shape(a))
+        calls.append(np.array(a))
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    concurrence(random_state(rng))
-    assert calls == [(4, 4)]
-    concurrence(np.array([random_state(rng) for _ in range(5)]))
-    assert calls == [(4, 4), (5, 4, 4)]
+    # full-rank states, one with its smallest eigenvalue 1e-11: every
+    # Cholesky pivot is at least that, above the 1e-12 floor
+    full = [random_state(rng) for _ in range(4)]
+    full.append(_state_with_spectrum(rng, _spectrum(rng, 4, 1e-11)))
+    concurrence(np.array(full))
+    assert calls == []
+
+    # pure, rank-2 and rank-3 states fail the factorization or fall under
+    # the floor; those three, and only those, go to one eigh call
+    v = random_ket(rng, dim=4)
+    weak = [np.outer(v, v.conj()), random_state(rng, rank=2),
+            random_state(rng, rank=3)]
+    mixed = np.array([full[0], weak[0], full[1], full[4], weak[1], weak[2]])
+    concurrence(mixed)
+    assert len(calls) == 1 and calls[0].tobytes() == np.array(weak).tobytes()
+
+    calls.clear()
+    concurrence(weak[0])
+    assert len(calls) == 1 and calls[0].tobytes() == weak[0][None].tobytes()
+
+
+def test_concurrence_matches_eigh_factor_formula(rng):
+    cases = {(rank, 10.0 ** -k): np.array([
+        _state_with_spectrum(rng, _spectrum(rng, rank, 10.0 ** -k))
+        for _ in range(40)]) for rank in (1, 2, 3, 4) for k in range(2, 17, 2)}
+    for (rank, smallest), stack in cases.items():
+        reference = _eigh_factor_concurrence(stack)
+        concs = concurrence(stack)
+        assert np.abs(concs - reference).max() <= 1e-13, (rank, smallest)
+        if rank < 4:  # rank-deficient states keep the eigh factor exactly
+            assert concs.tobytes() == reference.tobytes(), (rank, smallest)
+
+    # factorable and non-factorable members in one stack: each member's
+    # value is its value alone, bit for bit
+    mixed = np.concatenate([cases[4, 1e-2][:10], cases[1, 1e-2][:5],
+                            cases[4, 1e-12][:10], cases[3, 1e-16][:5]])
+    mixed = mixed[rng.permutation(len(mixed))]
+    concs = concurrence(mixed)
+    assert [concurrence(rho) for rho in mixed] == concs.tolist()
 
 
 def test_concurrence_against_xstate_oracle(rng):
