@@ -84,15 +84,23 @@ def assemble_full_C(block):
     return np.kron(np.ones((2, 2)), block.herm)
 
 
+def herm_rank(block):
+    """Rank of block.herm: the number of its eigenvalues above
+    1e-12 max(1, largest eigenvalue), the tolerance of the boundary flag."""
+    eigs = block.eigs.tolist()
+    tol = 1e-12 * max(1.0, eigs[-1])
+    return sum(e > tol for e in eigs)
+
+
 @dataclass(frozen=True)
 class PrincipalFrame:
     """Orthogonal frame data for a bath block.
 
     rotation diagonalizes A with eigenvalues lam in descending order
     (rotation @ A @ rotation.T = diag(lam), det +1); B_rot = rotation @ B.
-    closed_form_applicable is True when B is an eigenvector of A: with
-    u = B/|B|, ||A u - (u.A u) u|| <= 1e-10 max(1, max|lam|) (always true
-    for B = 0).
+    closed_form_applicable is True when herm has rank at least 2 and B is
+    an eigenvector of A: with u = B/|B|, ||A u - (u.A u) u|| <=
+    1e-10 max(1, max|lam|) (always true for B = 0).
 
     The aligned_* fields give the frame the closed forms assume: B along
     axis 3 with aligned_b = |B| >= 0, and the first two axes diagonalizing
@@ -115,7 +123,10 @@ def principal_frame(block):
     """Eigen-frame of A, and the frame aligned with B when B is an eigenvector.
 
     rotation holds the eigenvectors of A as rows, eigenvalues descending,
-    the last row flipped if needed for det +1.  With u = B/|B|, the closed
+    the last row flipped if needed for det +1.  The closed form is refused
+    when herm has rank <= 1 (`herm_rank`): a single collective jump
+    operator leaves more conserved quantities than tau, so the asymptotic
+    state is not fixed by tau alone.  Otherwise, with u = B/|B|, the closed
     form applies when the residual ||A u - (u.A u) u|| is at most
     1e-10 max(1, max|lam|); the aligned frame is then the 2x2
     eigendecomposition of A on the plane transverse to u (larger rate
@@ -133,15 +144,17 @@ def principal_frame(block):
     B_rot = rotation @ B
 
     bnorm = float(np.linalg.norm(B))
-    applicable = True
+    if 0.0 < bnorm < 1e-150:
+        # B.B falls among the subnormals and keeps few digits: scale first
+        bnorm = float(np.linalg.norm(B * 2.0**600)) * 2.0**-600
+    applicable = herm_rank(block) >= 2
     aligned_rotation, aligned_lam, aligned_b = rotation, lam, 0.0
-    if bnorm > 0.0:
+    if applicable and bnorm > 0.0:
         u = B / bnorm
         Au = A @ u
         lam_u = float(u @ Au)
         scale = max(1.0, float(np.abs(lam).max()))
         applicable = bool(np.linalg.norm(Au - lam_u * u) <= 1e-10 * scale)
-        aligned_rotation = aligned_lam = aligned_b = None
         if applicable:
             # the rows of E span the plane transverse to u
             E = np.linalg.svd(u[None, :])[2][1:]
@@ -152,6 +165,8 @@ def principal_frame(block):
             aligned_rotation = G
             aligned_lam = np.array([t[1], t[0], lam_u])
             aligned_b = bnorm
+    if not applicable:
+        aligned_rotation = aligned_lam = aligned_b = None
 
     return PrincipalFrame(rotation=rotation, lam=lam, B_rot=B_rot,
                           closed_form_applicable=applicable,

@@ -8,9 +8,11 @@ written, 2 integration accuracy failure, 3 closed form not applicable
 
 import argparse
 import dataclasses
+import errno
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -43,6 +45,27 @@ def _fmt(x):
     return f"{x:.15g}"
 
 
+def _cannot_write(exc):
+    print(f"cannot write output: {exc}", file=sys.stderr)
+    return 1
+
+
+def _output_error(out_path):
+    """The error that writing `out_path` would meet, checked before any work
+    and without creating anything: the path is a directory, or its directory
+    is missing or not writable.  None when none of these holds."""
+    directory = os.path.dirname(out_path) or "."
+    if os.path.isdir(out_path):
+        code = errno.EISDIR
+    elif not os.path.isdir(directory):
+        code = errno.ENOENT
+    elif not os.access(directory, os.W_OK):
+        code = errno.EACCES
+    else:
+        return None
+    return OSError(code, os.strerror(code), out_path)
+
+
 def _write_text(out_path, pieces):
     """Write the strings of `pieces` to `out_path`.
 
@@ -54,8 +77,7 @@ def _write_text(out_path, pieces):
             for piece in pieces:
                 fh.write(piece)
     except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return 1
+        return _cannot_write(exc)
     return 0
 
 
@@ -71,6 +93,8 @@ def _trajectory_text(table):
 
 def cmd_evolve(config_path, out_path):
     """Integrate the configured run and write the trajectory CSV."""
+    if (exc := _output_error(out_path)) is not None:
+        return _cannot_write(exc)
     cfg = load_config(config_path)
     block = build_block(cfg)
     initial = build_initial(cfg)
@@ -188,6 +212,8 @@ def sweep_rows(cfg, param, values):
 
 def cmd_sweep(config_path, param, values, out_path):
     """One asymptotic-concurrence row per swept value."""
+    if (exc := _output_error(out_path)) is not None:
+        return _cannot_write(exc)
     cfg = load_config(config_path)
     rows = list(sweep_rows(cfg, param, values))
     lines = [f"# sweep parameter: {param}", SWEEP_HEADER]

@@ -3,9 +3,10 @@
 Two independent routes to the same objects are kept side by side: the
 closed-form family (reference state, tau-parametrized equilibrium
 components, asymptotic projector map), valid when the bath vector lies on a
-principal axis of A, and a numerical null-space oracle over the 15 real
-coefficients that works for any valid block.  Tests hold the two against
-each other; neither is allowed to silently replace the other.
+principal axis of A and the bath matrix has rank at least 2, and a numerical
+null-space oracle over the 15 real coefficients that works for any valid
+block.  Tests hold the two against each other; neither is allowed to
+silently replace the other.
 """
 
 import warnings
@@ -13,14 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import principal_frame
+from .bath import herm_rank, principal_frame
 from .generator import compile_generator, lindblad_operators
 from .pauli_algebra import (P_SINGLET, PauliCoefficients, Q_TRIPLET, S_TOTAL,
                             TAU_ENTRIES, assemble_matrices, convert, tau_of)
 
 
 class ClosedFormNotApplicable(ValueError):
-    """The bath vector is not on a principal axis; use the numerical oracle."""
+    """The bath vector is not on a principal axis, or the bath matrix has
+    rank <= 1; use the numerical oracle."""
 
 
 @dataclass(frozen=True)
@@ -54,16 +56,20 @@ def stationary_family(block):
 
     Requires the bath vector to lie on a principal axis of A (else the
     two smaller rates are not well defined and the closed form does not
-    apply).  In the aligned frame the two axes transverse to B carry the
-    rates lam1 >= lam2; the reference state is assembled there and rotated
-    back to the input frame.  At the boundary b^2 = lam1 lam2 the family
-    can degenerate to reduced rank (with equal transverse rates it does;
-    for lam = (1, 0.5, 0.2) the reference state keeps a smallest eigenvalue
-    of about 0.0068); a boundary reference state with an eigenvalue below
-    1e-12 is reported as a warning.
+    apply) and the bath matrix to have rank at least 2 (else tau is not the
+    only conserved quantity; see `principal_frame`).  In the aligned frame
+    the two axes transverse to B carry the rates lam1 >= lam2; the reference
+    state is assembled there and rotated back to the input frame.  At the
+    boundary b^2 = lam1 lam2 the family can degenerate to reduced rank (with
+    equal transverse rates it does; for lam = (1, 0.5, 0.2) the reference
+    state keeps a smallest eigenvalue of about 0.0068); a boundary reference
+    state with an eigenvalue below 1e-12 is reported as a warning.
     """
     frame = principal_frame(block)
     if not frame.closed_form_applicable:
+        if herm_rank(block) <= 1:
+            raise ClosedFormNotApplicable(
+                "bath matrix has rank <= 1: tau is not the only conserved quantity")
         raise ClosedFormNotApplicable(
             "bath vector is not aligned with a principal axis of A")
     lam1, lam2, lam3 = frame.aligned_lam
@@ -151,15 +157,21 @@ def _min_eig(vecs):
 def _line_search(vec, direction, lo, hi, iters=200):
     """Maximize the (concave) minimum eigenvalue along vec + t*direction.
 
-    Ternary search over [lo, hi] for at most `iters` steps.  It stops at the
-    bracket's fixed point, the first step that leaves (lo, hi) unchanged:
-    every later step would evaluate the same two probes and make the same
-    choice, so the result is bit for bit that of all `iters` steps.
+    Ternary search over [lo, hi] for at most `iters` steps.  The matrices on
+    the line form the affine pencil M0 + t*Md, with M0 the matrix of `vec`
+    and Md the traceless part of that of `direction`; both are assembled
+    once, and each step takes the smallest eigenvalues of its two probes
+    from one (2, 4, 4) stack.  The search stops at the bracket's fixed
+    point, the first step that leaves (lo, hi) unchanged: every later step
+    would evaluate the same two probes and make the same choice, so the
+    result is bit for bit that of all `iters` steps.
     """
+    m0, md = assemble_matrices(np.stack([vec, direction]))
+    md -= np.eye(4) / 4
     for _ in range(iters):
         m1 = lo + (hi - lo) / 3
         m2 = hi - (hi - lo) / 3
-        e1, e2 = _min_eig(vec + np.outer([m1, m2], direction))
+        e1, e2 = np.linalg.eigvalsh(m0 + np.multiply.outer([m1, m2], md)).min(axis=-1)
         if e1 < e2:
             if m1 == lo:
                 break
@@ -179,9 +191,12 @@ def liouvillian_null_space(block, rank_tol=1e-10):
     decomposition (relative threshold `rank_tol`), returning the dimension of
     the solution set, an orthonormal basis of directions, and a member with
     all eigenvalues above 1e-8 located by maximizing the minimum eigenvalue
-    over the set.  The full-rank member is None when the search fails, as
-    it does on boundary blocks whose stationary family is rank deficient
-    (equal transverse rates, for example); other boundary blocks, such as
+    over the set: one `_line_search` along the tau line when the set is a
+    line, otherwise four rounds of coordinate searches along the basis
+    directions.  Each search assembles two matrices for its whole line.
+    The full-rank member is None when the search fails, as it does on
+    boundary blocks whose stationary family is rank deficient (equal
+    transverse rates, for example); other boundary blocks, such as
     lam = (1, 0.5, 0.2) with b^2 = lam1 lam2, keep a full-rank member.
     """
     L, c0 = compile_generator(block)

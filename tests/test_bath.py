@@ -1,14 +1,21 @@
-"""Bath validation, full coefficient matrix, principal-frame geometry, and the
-stationarity of the closed-form states built in degenerate frames."""
+"""Bath validation, full coefficient matrix, principal-frame geometry, the
+closed form's rank test, and the stationarity of the closed-form states built
+in degenerate frames."""
+
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pairbath.bath import (BathValidityError, assemble_full_C, hermitian_block,
-                           make_bath, principal_frame)
+                           herm_rank, make_bath, principal_frame)
 from pairbath.generator import rhs_equal_blocks
 from pairbath.steady_state import (ClosedFormNotApplicable,
-                                   equilibrium_components, stationary_family)
+                                   equilibrium_components,
+                                   liouvillian_null_space, stationary_family)
 
 from conftest import (kossakowski_matrix, random_aligned_bath,
                       random_offaxis_bath, random_rotation)
@@ -145,6 +152,17 @@ def test_principal_frame_planar_degeneracy(rng):
         assert np.isclose(fr.aligned_b, 0.6)
 
 
+@pytest.mark.parametrize("b", [7.198468251453334e-162, 1e-155, 1e-152])
+def test_principal_frame_tiny_B_on_axis(b):
+    # B.B is subnormal here; the direction of B must still come out a unit
+    # vector, so the closed form applies
+    fr = principal_frame(make_bath(np.eye(3), [0.0, 0.0, b]))
+    assert fr.closed_form_applicable
+    assert fr.aligned_b == b
+    tilted = principal_frame(make_bath(np.diag([1.0, 0.5, 0.2]), [0.8 * b, 0.0, 0.6 * b]))
+    assert not tilted.closed_form_applicable
+
+
 def test_planar_degeneracy_B_out_of_plane_not_applicable(rng):
     lam = np.diag([2.0, 2.0, 0.5])
     B = 0.3 * np.array([1.0, 0.0, 1.0]) / np.sqrt(2)  # mixes both clusters
@@ -226,3 +244,44 @@ def test_applicability_criterion_planar_degeneracy(rng):
         G = fr.aligned_rotation
         assert np.abs(G @ A @ G.T - np.diag(fr.aligned_lam)).max() < 1e-12
         assert np.allclose(fr.aligned_lam, [2.0, 0.5, 2.0])
+
+
+def _bath_of_herm(herm):
+    # herm[i, j] = A[i, j] + i eps_ijk B[k]: B[0] = Im herm[1, 2], ...
+    return make_bath(herm.real, herm.imag[[1, 2, 0], [2, 0, 1]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(float, (2, 3), elements=st.floats(-2.0, 2.0)))
+def test_rank_one_bath_refuses_closed_form(parts):
+    # herm = v v^dagger: one collective jump operator.  B is parallel to
+    # Re v x Im v, an eigenvector of A, so only the rank test refuses it.
+    v = parts[0] + 1j * parts[1]
+    herm = np.outer(v, v.conj())
+    blk = _bath_of_herm(herm)
+    assert np.abs(blk.herm - herm).max() <= 1e-15 and herm_rank(blk) <= 1
+    fr = principal_frame(blk)
+    assert not fr.closed_form_applicable
+    assert fr.aligned_rotation is None and fr.aligned_lam is None
+    with pytest.raises(ClosedFormNotApplicable):
+        stationary_family(blk)
+
+
+@pytest.mark.parametrize("lam, b", [((1.0, 0.0, 0.0), 0.0),
+                                    ((1.0, 0.5, 0.0), np.sqrt(0.5))])
+def test_rank_one_reproducers_refuse_closed_form(lam, b):
+    # two baths with more stationary directions than the tau line
+    blk = make_bath(np.diag(lam), [0.0, 0.0, b])
+    assert herm_rank(blk) == 1
+    assert not principal_frame(blk).closed_form_applicable
+    assert liouvillian_null_space(blk)["dimension"] > 1
+
+
+def test_closed_form_applicable_exactly_where_null_space_is_a_line():
+    # aligned rates in {0, 0.5, 1}^3, |B| = f sqrt(lam1 lam2) on axis 3
+    grid = (0.0, 0.5, 1.0)
+    for lam in itertools.product(grid, repeat=3):
+        for f in grid:
+            blk = make_bath(np.diag(lam), [0.0, 0.0, f * np.sqrt(lam[0] * lam[1])])
+            dimension = liouvillian_null_space(blk)["dimension"]
+            assert principal_frame(blk).closed_form_applicable == (dimension == 1)

@@ -260,13 +260,28 @@ def test_evolve_nonpsd_bath_exit_1(tmp_path, capsys):
     assert "eigenvalue" in capsys.readouterr().err
 
 
-def test_evolve_unwritable_out_exit_1(tmp_path, capsys):
+def _no_evolve(*args, **kwargs):
+    raise AssertionError("integrated although --out cannot be written")
+
+
+def test_evolve_unwritable_out_exit_1(tmp_path, capsys, monkeypatch):
+    # refused before any integration, and nothing is created
     cfg = write_config(tmp_path, BASE)
     out = tmp_path / "no" / "such" / "x.csv"
+    monkeypatch.setattr(cli, "evolve", _no_evolve)
     assert cli.main(["evolve", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("cannot write output: ") and str(out) in err
-    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_evolve_out_is_directory_exit_1(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, BASE)
+    monkeypatch.setattr(cli, "evolve", _no_evolve)
+    assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output: ") and "Is a directory" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_evolve_unstable_exit_2(tmp_path, capsys):
@@ -392,6 +407,42 @@ def test_steady_off_axis_exit_3(tmp_path, capsys):
     assert 0.0 <= report["concurrence_numeric"] <= 1.0
 
 
+PHI_MINUS = {"pauli": {"r0i": [0, 0, 0], "ri0": [0, 0, 0],
+                       "rij": [[-1, 0, 0], [0, 1, 0], [0, 0, 1]]}}
+# baths whose herm has rank 1: more is conserved than tau
+RANK_ONE_BATHS = {"lambda=(1,0,0)": ({"lambda": [1, 0, 0], "B": [0, 0, 0]}, 5),
+                  "lambda=(1,0.5,0)": ({"lambda": [1, 0.5, 0],
+                                        "B": [0, 0, 0.5 ** 0.5]}, 3)}
+
+
+@pytest.mark.parametrize("name", RANK_ONE_BATHS)
+def test_rank_one_bath_exit_3(tmp_path, capsys, name):
+    bath, dimension = RANK_ONE_BATHS[name]
+    cfg = write_config(tmp_path, {"bath": bath, "initial": PHI_MINUS})
+    out = tmp_path / "x.csv"
+    assert cli.main(["steady", "--config", cfg]) == 3
+    assert "rank <= 1" in capsys.readouterr().err
+    assert cli.main(["sweep", "--config", cfg, "--param", "tau",
+                     "--values", "-3,0", "--out", str(out)]) == 3
+    assert "rank <= 1" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(["steady", "--config", cfg, "--numeric-only"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert not report["closed_form_applicable"]
+    assert report["nullspace"]["dimension"] == dimension
+
+
+def test_rank_one_bath_keeps_decoherence_free_state(tmp_path):
+    # collective sigma_x leaves the Bell state Phi- alone: its concurrence
+    # stays 1, where the tau-only closed form would give 0
+    bath, _ = RANK_ONE_BATHS["lambda=(1,0,0)"]
+    cfg = load_config(write_config(tmp_path, {"bath": bath, "initial": PHI_MINUS,
+                                              "integrator": {"t_end": 50.0}}))
+    tr = evolve(build_initial(cfg), build_block(cfg), t_end=50.0,
+                dt=cfg.integrator["dt"], sample_every=cfg.integrator["sample_every"])
+    assert abs(tr.concurrence[-1] - 1.0) < 1e-9
+
+
 # ------------------------------------------------------------------- sweep
 
 def test_sweep_s_enhancement_column(tmp_path):
@@ -465,14 +516,25 @@ def test_sweep_empty_value_list_exit_1(tmp_path, capsys, values):
     assert not out.exists()
 
 
-def test_sweep_unwritable_out_exit_1(tmp_path, capsys):
+def test_sweep_unwritable_out_exit_1(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, BASE)
     out = tmp_path / "no" / "such" / "x.csv"
+    monkeypatch.setattr(cli, "evolve", _no_evolve)
     assert cli.main(["sweep", "--config", cfg, "--param", "s",
                      "--values", "0,0.25", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("cannot write output: ") and str(out) in err
-    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_sweep_out_is_directory_exit_1(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, BASE)
+    monkeypatch.setattr(cli, "evolve", _no_evolve)
+    assert cli.main(["sweep", "--config", cfg, "--param", "s",
+                     "--values", "0,0.25", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output: ") and "Is a directory" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_sweep_c_evolved_is_final_trajectory_concurrence(tmp_path):

@@ -191,21 +191,21 @@ def test_nullspace_generic_dimension_and_match(rng):
             assert np.abs(state - equilibrium_components(tau, fam).state).max() < 1e-9
 
 
-def _line_search_one_probe_at_a_time(vec, direction, lo, hi, iters):
-    def min_eig(v):
-        return float(np.linalg.eigvalsh(convert(PauliCoefficients.from_vector(v))).min())
+def _ternary_one_probe_at_a_time(min_eig_at, lo, hi, iters):
+    """The ternary rule of `_line_search` with one `min_eig_at(t)` call per
+    probe and no early stop; returns the final parameter."""
     for _ in range(iters):
         m1 = lo + (hi - lo) / 3
         m2 = hi - (hi - lo) / 3
-        if min_eig(vec + m1 * direction) < min_eig(vec + m2 * direction):
+        if min_eig_at(m1) < min_eig_at(m2):
             lo = m1
         else:
             hi = m2
-    t = 0.5 * (lo + hi)
-    return vec + t * direction
+    return 0.5 * (lo + hi)
 
 
-def test_line_search_matches_one_probe_at_a_time(rng):
+def _search_lines(rng):
+    """Random lines through random states, and the tau lines of two null spaces."""
     lines = []
     for _ in range(10):
         d = rng.normal(size=15)
@@ -215,28 +215,70 @@ def test_line_search_matches_one_probe_at_a_time(rng):
         sol = liouvillian_null_space(blk)
         lines.append((convert(sol["full_rank_member"]).as_vector(), sol["basis"][0],
                       -1.0, 1.0))
-    for vec, d, lo, hi in lines:
+    return lines
+
+
+def _wrap_eigvalsh(monkeypatch, record):
+    """Call `record(a)` on each stack `a` given to `np.linalg.eigvalsh` as
+    `steady_state` calls it."""
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(steady_state.np.linalg, "eigvalsh",
+                        lambda a: record(a) or eigvalsh(a))
+
+
+def test_line_search_probes_equal_assembled_probes(rng, monkeypatch):
+    # every probe of the pencil M0 + t*Md is the matrix assembled at its t,
+    # t read back from the probe's own coefficients
+    stacks = []
+    _wrap_eigvalsh(monkeypatch, stacks.append)
+    for vec, d, lo, hi in _search_lines(rng):
+        stacks.clear()
+        _line_search(vec, d, lo, hi)
+        assert stacks and all(p.shape == (2, 4, 4) for p in stacks)
+        for probe in np.concatenate(stacks):
+            t = (convert(probe).as_vector() - vec) @ d / (d @ d)
+            assert lo - 1e-12 <= t <= hi + 1e-12
+            assert np.abs(probe - assemble_matrices(vec + t * d)).max() <= 1e-14
+
+
+def test_line_search_matches_one_probe_at_a_time(rng):
+    def assembled(vec, d):
+        return lambda t: np.linalg.eigvalsh(
+            convert(PauliCoefficients.from_vector(vec + t * d))).min()
+
+    def pencil(vec, d):
+        m0, md = assemble_matrices(vec), assemble_matrices(d) - MM
+        return lambda t: np.linalg.eigvalsh(m0 + t * md).min()
+
+    for vec, d, lo, hi in _search_lines(rng):
         for iters in (80, 200):
-            expect = _line_search_one_probe_at_a_time(vec, d, lo, hi, iters)
-            assert _line_search(vec, d, lo, hi, iters).tobytes() == expect.tobytes()
+            got = _line_search(vec, d, lo, hi, iters)
+            # the same maximum as the search over assembled probes
+            t = _ternary_one_probe_at_a_time(assembled(vec, d), lo, hi, iters)
+            assert abs(steady_state._min_eig(got)
+                       - steady_state._min_eig(vec + t * d)) <= 1e-13
+            # bit for bit the pencil probed one matrix at a time
+            t = _ternary_one_probe_at_a_time(pencil(vec, d), lo, hi, iters)
+            assert got.tobytes() == (vec + t * d).tobytes()
 
 
 def test_line_search_stops_at_fixed_point(rng, monkeypatch):
     # the tau line liouvillian_null_space searches, run with no step limit
-    lines, line_search, min_eig = [], steady_state._line_search, steady_state._min_eig
+    lines, line_search = [], steady_state._line_search
     monkeypatch.setattr(steady_state, "_line_search",
                         lambda *args: lines.append(args) or line_search(*args))
     liouvillian_null_space(random_offaxis_bath(rng))
     (vec, d, lo, hi), = lines
     calls = []
 
-    def counted(vecs):
-        calls.append(len(vecs))
-        return min_eig(vecs)
+    def counted(stack):
+        calls.append(len(stack))
+        assert len(calls) <= 150, "no fixed point within 150 steps"
 
-    monkeypatch.setattr(steady_state, "_min_eig", counted)
+    _wrap_eigvalsh(monkeypatch, counted)
     got = line_search(vec, d, lo, hi, iters=10**6)
-    assert len(calls) <= 150
+    assert len(calls) <= 150 and set(calls) == {2}
+    monkeypatch.undo()
     assert got.tobytes() == line_search(vec, d, lo, hi, iters=200).tobytes()
 
 
