@@ -14,18 +14,21 @@ Usage:
 """
 
 import argparse
+import os
 import sys
 
 import numpy as np
 
 from pairbath import concurrence_closed, make_bath, stationary_family
 from pairbath.cli import sweep_rows
-from pairbath.config import parse_config
+from pairbath.config import build_block, parse_config
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", required=True, help="output CSV path")
+    parser.add_argument("--out", required=True,
+                        help="output CSV path; the thresholds go to "
+                             "<stem>_threshold<suffix> beside it")
     parser.add_argument("--lam", default="1,1,1",
                         help="comma-separated relaxation rates")
     parser.add_argument("--tau-points", type=int, default=81)
@@ -34,7 +37,12 @@ def main(argv=None):
                         help="spot-check grid corners by direct integration")
     args = parser.parse_args(argv)
 
-    lam = [float(x) for x in args.lam.split(",")]
+    try:
+        lam = [float(x) for x in args.lam.split(",")]
+        build_block(parse_config({"bath": {"lambda": lam, "B": [0.0, 0.0, 0.0]},
+                                  "initial": {"werner": {"s": 0.0}}}))
+    except ValueError as exc:
+        parser.error(f"--lam {args.lam}: {exc}")
     b_max = np.sqrt(lam[0] * lam[1])
     taus = np.linspace(-3.0, 1.0, args.tau_points)
     fs = np.linspace(0.0, 0.999, args.f_points)
@@ -56,7 +64,8 @@ def main(argv=None):
         for row in rows:
             fh.write(",".join(f"{v:.15g}" for v in row) + "\n")
 
-    threshold_path = args.out.replace(".csv", "_threshold.csv")
+    stem, suffix = os.path.splitext(args.out)
+    threshold_path = f"{stem}_threshold{suffix}"
     with open(threshold_path, "w", encoding="utf-8") as fh:
         fh.write("f,tau_threshold\n")
         for f, thr in thresholds:

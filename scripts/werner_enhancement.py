@@ -19,7 +19,7 @@ import numpy as np
 
 from pairbath import concurrence, convert, werner_state
 from pairbath.cli import sweep_rows
-from pairbath.config import parse_config
+from pairbath.config import build_block, parse_config
 
 
 def main(argv=None):
@@ -33,9 +33,13 @@ def main(argv=None):
                         help="number of s values in [0, 3/4]")
     args = parser.parse_args(argv)
 
-    cfg = parse_config({"bath": {"lambda": [float(x) for x in args.lam.split(",")],
-                                 "B": [0.0, 0.0, args.b]},
-                        "initial": {"werner": {"s": 0.0}}})
+    try:
+        cfg = parse_config({"bath": {"lambda": [float(x) for x in args.lam.split(",")],
+                                     "B": [0.0, 0.0, args.b]},
+                            "initial": {"werner": {"s": 0.0}}})
+        build_block(cfg)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     rows = []
     for s, c_closed, c_inf, predicted in sweep_rows(

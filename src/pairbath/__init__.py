@@ -15,8 +15,8 @@ from .entanglement import (GenerationVerdict, concurrence, concurrence_closed,
                            generation_test, partial_transpose)
 from .generator import (IntegrationAccuracyError, Trajectory,
                         compile_generator, diagonal_form_check, evolve,
-                        evolve_general, rate_scale, rhs_components,
-                        rhs_equal_blocks, rhs_general)
+                        rate_scale, rhs_components, rhs_equal_blocks,
+                        rhs_general)
 from .pauli_algebra import (PauliCoefficients, build_basis,
                             check_appendix_algebra, check_density_matrix,
                             convert, levi_civita, tau_of)
@@ -35,7 +35,7 @@ __all__ = [
     "GenerationVerdict", "concurrence", "concurrence_closed",
     "generation_test", "partial_transpose",
     "IntegrationAccuracyError", "Trajectory", "compile_generator",
-    "diagonal_form_check", "evolve", "evolve_general", "rate_scale",
+    "diagonal_form_check", "evolve", "rate_scale",
     "rhs_components", "rhs_equal_blocks", "rhs_general",
     "PauliCoefficients", "build_basis", "check_appendix_algebra",
     "check_density_matrix", "convert", "levi_civita", "tau_of",

@@ -50,12 +50,15 @@ class KossakowskiBlock:
 def make_bath(A, B):
     """Validate (A, B) and return a KossakowskiBlock.
 
-    A is symmetrized (with a warning) when its asymmetry is within 1e-12 and
-    rejected beyond that; the Hermitian combination must be PSD within -1e-12,
-    otherwise the offending eigenvalue is reported.
+    A and B must be finite.  A is symmetrized (with a warning) when its
+    asymmetry is within 1e-12 and rejected beyond that; the Hermitian
+    combination must be PSD within -1e-12, otherwise the offending
+    eigenvalue is reported.
     """
     A = np.asarray(A, dtype=float).reshape(3, 3)
     B = np.asarray(B, dtype=float).reshape(3)
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise BathValidityError("A and B must be finite")
     asym = np.abs(A - A.T).max()
     if asym > 1e-12:
         raise BathValidityError(f"A is not symmetric: max asymmetry {asym:.3e}")
@@ -81,7 +84,7 @@ def assemble_full_C(block):
     tensored with the Hermitian block; its spectrum is {2 eig} plus three
     zeros, hence PSD exactly when the block is.
     """
-    return np.kron(np.ones((2, 2)), block.herm)
+    return np.tile(block.herm, (2, 2))
 
 
 def herm_rank(block):

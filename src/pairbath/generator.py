@@ -1,28 +1,26 @@
 """The dissipative generator in its equivalent forms, plus time integration.
 
-Three representations of the same map are kept deliberately separate so they
+Four representations of the same map are kept deliberately separate so they
 can cross-check each other: the matrix form over the collective operators,
-the 15 coupled component equations, and the diagonal form through the
-square root of the bath block.  A fourth, fully general form accepts an
-arbitrary 6x6 PSD coefficient matrix and serves as the oracle for the
-equal-block specialization.  The production path compiles the generator
-into its affine form (`compile_generator`), which both `evolve` and the
-null-space solver use.  The component equations are linear in the nine
-bath parameters, so the compiled form is one contraction of those
-parameters with a tensor built once, on first use, from `rhs_components`
-on unit baths.
+the 15 coupled component equations, the diagonal form through the square
+root of the bath block, and the general form over any 6x6 Hermitian
+coefficient matrix C (a common bath is C = `assemble_full_C(block)`).  The
+only production form is the affine one of `compile_generator`, used by
+`evolve` and the null-space solver: one contraction of the 36 real
+parameters of C with a tensor built once, on first use, from the general
+form on unit Hermitian matrices.
 """
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from types import SimpleNamespace
 
 import numpy as np
 
+from .bath import KossakowskiBlock, assemble_full_C
 from .entanglement import (STATE_EIG_FLOOR, _psd_sqrt, concurrence,
                            partial_transpose)
-from .pauli_algebra import (BIG_SIGMA, IDENT2, PauliCoefficients, SIGMA,
-                            TAU_ENTRIES, assemble_matrices)
+from .pauli_algebra import (BIG_SIGMA, EXPANSION, IDENT2, PauliCoefficients,
+                            SIGMA, TAU_ENTRIES, assemble_matrices)
 
 # cached products Sigma_i Sigma_j for the anticommutator terms
 _SIG_PROD = [[BIG_SIGMA[i] @ BIG_SIGMA[j] for j in range(3)] for i in range(3)]
@@ -89,63 +87,20 @@ def rhs_components(state, block):
     return PauliCoefficients(d0, d1, dij)
 
 
-# the six independent entries of a symmetric A, in _bath_tensor's order
-_TRIU = np.triu_indices(3)
-
-
-@cache
-def _bath_tensor():
-    """(9, 15, 16) tensor T with [L | c0] = sum_p theta_p T[p].
-
-    theta holds the six upper-triangle entries of A, then B.  Each T[p] is
-    `rhs_components` on one unit bath: at the 15 unit vectors minus at the
-    zero state (columns 0-14), and at the zero state (column 15).  Unit
-    baths are not positive, so they bypass `make_bath`; `rhs_components`
-    reads only A, B and A_tr.  Read-only, as every caller shares it.
-    """
-    units = []
-    for i, j in zip(*_TRIU):
-        A = np.zeros((3, 3))
-        A[i, j] = A[j, i] = 1.0
-        units.append(SimpleNamespace(A=A, B=np.zeros(3), A_tr=np.trace(A)))
-    for B in np.eye(3):
-        units.append(SimpleNamespace(A=np.zeros((3, 3)), B=B, A_tr=0.0))
-    T = np.empty((9, 15, 16))
-    for p, unit in enumerate(units):
-        c0 = rhs_components(PauliCoefficients.zero(), unit).as_vector()
-        for k, e in enumerate(np.eye(15)):
-            T[p, :, k] = rhs_components(PauliCoefficients.from_vector(e), unit).as_vector() - c0
-        T[p, :, 15] = c0
-    T.flags.writeable = False
-    return T
-
-
-def compile_generator(block):
-    """15x15 matrix L and offset c0 with d(coeffs)/dt = L coeffs + c0.
-
-    The component equations are linear in the six independent entries of A
-    and the three of B, so [L | c0] is one contraction of those nine
-    numbers with `_bath_tensor`.  This is the only production form of the
-    generator; `rhs_components` is the source of the tensor and a check.
-    """
-    theta = np.concatenate([block.A[_TRIU], block.B])
-    G = (theta @ _bath_tensor().reshape(9, 240)).reshape(15, 16)
-    return G[:, :15], G[:, 15]
-
-
-def rhs_general(state, C):
-    """Generator for an arbitrary 6x6 Hermitian PSD coefficient matrix.
-
-    The six operators are sigma_i x 1 (first three) and 1 x sigma_i (last
-    three).  Used as an oracle: with all four sub-blocks equal this must
-    reproduce rhs_equal_blocks.
-    """
+def _check_coefficient_matrix(C):
+    """C as a complex array, or ValueError unless it is Hermitian and PSD
+    within 1e-10."""
     C = np.asarray(C, dtype=complex)
     if np.abs(C - C.conj().T).max() > 1e-10:
         raise ValueError("coefficient matrix is not Hermitian")
     w = np.linalg.eigvalsh(C)
     if w.min() < -1e-10:
         raise ValueError(f"coefficient matrix has negative eigenvalue {w.min():.3e}")
+    return C
+
+
+def _lindblad_sum(state, C):
+    """sum_ab C[a, b] (F_b rho F_a - {F_a F_b, rho} / 2) for any 6x6 C."""
     out = np.zeros((4, 4), dtype=complex)
     for a in range(6):
         Fa = _F_OPS[a]
@@ -157,6 +112,59 @@ def rhs_general(state, C):
             out += C[a, b] * (Fb @ state @ Fa
                               - 0.5 * (fab @ state + state @ fab))
     return out
+
+
+def rhs_general(state, C):
+    """Generator for an arbitrary 6x6 Hermitian PSD coefficient matrix.
+
+    The six operators are sigma_i x 1 (first three) and 1 x sigma_i (last
+    three).  With all four sub-blocks equal this reproduces rhs_equal_blocks.
+    """
+    return _lindblad_sum(state, _check_coefficient_matrix(C))
+
+
+# the 36 real parameters of a Hermitian 6x6 C in its flattened view(float):
+# the diagonal, then the real and the imaginary parts of the upper triangle
+_TRIU6 = np.ravel_multi_index(np.triu_indices(6, 1), (6, 6))
+_THETA = np.concatenate([2 * np.arange(0, 36, 7), 2 * _TRIU6, 2 * _TRIU6 + 1])
+
+
+@cache
+def _generator_tensor():
+    """(36, 15, 16) tensor T with [L | c0] = sum_p theta_p T[p].
+
+    T[p] is `_lindblad_sum` on the unit Hermitian matrix of parameter p,
+    projected onto `EXPANSION`: at the 15 unit coefficient vectors minus at
+    the zero vector (columns 0-14), and at the zero vector (column 15).
+    Unit matrices are not positive, so the build bypasses the check of
+    `rhs_general`.  Every entry is a multiple of 1/2, so T is exact.
+    Read-only, as every caller shares it.
+    """
+    states = assemble_matrices(np.vstack([np.eye(15), np.zeros(15)]))
+    units = np.zeros((36, 6, 6), dtype=complex)
+    units.view(float).reshape(36, 72)[range(36), _THETA] = 1.0
+    units += np.triu(units, 1).conj().swapaxes(1, 2)
+    T = np.empty((36, 15, 16))
+    for p, k in np.ndindex(36, 16):
+        deriv = _lindblad_sum(states[k], units[p])
+        T[p, :, k] = np.einsum("ij,nji->n", deriv, EXPANSION).real
+    T[:, :, :15] -= T[:, :, 15:]
+    T.flags.writeable = False
+    return T
+
+
+def compile_generator(C):
+    """15x15 matrix L and offset c0 with d(coeffs)/dt = L coeffs + c0.
+
+    C is a Hermitian 6x6 coefficient matrix, such as `assemble_full_C` of a
+    bath block; only its diagonal and upper triangle are read.  The
+    generator is linear in the 36 real parameters of C, so [L | c0] is one
+    contraction of them with `_generator_tensor`.  This is the only
+    production form of the generator; `rhs_components` is a check.
+    """
+    theta = np.ascontiguousarray(C, dtype=complex).view(float).ravel()[_THETA]
+    G = (theta @ _generator_tensor().reshape(36, 240)).reshape(15, 16)
+    return G[:, :15], G[:, 15]
 
 
 def lindblad_operators(block):
@@ -236,20 +244,12 @@ def rate_scale(block):
     return max(lam_max, float(np.linalg.norm(block.B)), 1.0)
 
 
-def _rk4_step(x, dt, deriv):
-    k1 = deriv(x)
-    k2 = deriv(x + 0.5 * dt * k1)
-    k3 = deriv(x + 0.5 * dt * k2)
-    k4 = deriv(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
 def _rk4_step_matrix(L, c0, dt):
     """One RK4 step of dc/dt = L c + c0 as a 16x16 matrix acting on [c, 1].
 
     For an affine right-hand side the four RK4 stages collapse to the
     degree-4 Taylor polynomial of the augmented generator G = [[L, c0], [0, 0]],
-    so applying this matrix is the same arithmetic as `_rk4_step`.
+    so applying this matrix is the same arithmetic as four RK4 stages.
     """
     G = np.zeros((16, 16))
     G[:15, :15] = L
@@ -301,11 +301,13 @@ def _check_samples(vectors, times):
             f"non-finite state coefficients at t={times[n_ok]:.6g}; reduce dt")
 
 
-def evolve(initial, block, t_end=None, dt=None, sample_every=10):
+def evolve(initial, bath, t_end=None, dt=None, sample_every=10):
     """Integrate the component equations with fixed-step fourth-order steps.
 
-    Defaults: dt = 0.01 / rate_scale, t_end = 50 / rate_scale, so the horizon
-    and resolution follow the fastest rate in the block.  Samples are taken
+    `bath` is a `KossakowskiBlock` or a 6x6 coefficient matrix, checked as
+    `rhs_general` checks it.  For a block, dt = 0.01 / rate_scale and t_end =
+    50 / rate_scale by default, so the horizon and resolution follow the
+    fastest rate in the block; a matrix needs both given.  Samples are taken
     every `sample_every` steps plus the final time.  The generator is
     compiled once and RK4 is applied as one 16x16 step matrix; the stride
     between samples is its `sample_every`-th power, so positivity is checked
@@ -323,11 +325,17 @@ def evolve(initial, block, t_end=None, dt=None, sample_every=10):
     reports the reconstruction deviation as an integrator-health
     diagnostic.
     """
-    scale = rate_scale(block)
-    if dt is None:
-        dt = 0.01 / scale
-    if t_end is None:
-        t_end = 50.0 / scale
+    if isinstance(bath, KossakowskiBlock):
+        scale = rate_scale(bath)
+        if dt is None:
+            dt = 0.01 / scale
+        if t_end is None:
+            t_end = 50.0 / scale
+        C = assemble_full_C(bath)
+    else:
+        C = _check_coefficient_matrix(bath)
+        if t_end is None or dt is None:
+            raise ValueError("a coefficient matrix needs an explicit t_end and dt")
     if not (t_end > 0 and 0 < dt <= t_end):
         raise ValueError("need 0 < dt <= t_end")
     if sample_every < 1:
@@ -338,7 +346,7 @@ def evolve(initial, block, t_end=None, dt=None, sample_every=10):
     times = np.arange(n_strides + 1) * sample_every * dt
     if rest:
         times = np.append(times, n_steps * dt)
-    step = _rk4_step_matrix(*compile_generator(block), dt)
+    step = _rk4_step_matrix(*compile_generator(C), dt)
     Y = np.empty((len(times), 16))
     Y[0] = np.append(initial.as_vector(), 1.0)
     # an unstable step overflows; _check_samples reports it as non-finite
@@ -358,15 +366,3 @@ def evolve(initial, block, t_end=None, dt=None, sample_every=10):
     return Trajectory(times=times, coeffs=vectors,
                       tau=vectors[:, TAU_ENTRIES].sum(axis=1))
 
-
-def evolve_general(state, C, t_end, dt):
-    """Fixed-step integration of the general-form generator on the matrix.
-
-    Oracle-grade helper (dense 4x4 arithmetic per step); used to probe
-    dynamics outside the equal-block family, e.g. conservation-law breaking.
-    """
-    n_steps = int(round(t_end / dt))
-    rho = np.asarray(state, dtype=complex).copy()
-    for _ in range(n_steps):
-        rho = _rk4_step(rho, dt, lambda m: rhs_general(m, C))
-    return rho

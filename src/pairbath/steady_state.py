@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import herm_rank, principal_frame
+from .bath import assemble_full_C, herm_rank, principal_frame
 from .generator import compile_generator, lindblad_operators
 from .pauli_algebra import (P_SINGLET, PauliCoefficients, Q_TRIPLET, S_TOTAL,
                             TAU_ENTRIES, assemble_matrices, convert, tau_of)
@@ -199,7 +199,7 @@ def liouvillian_null_space(block, rank_tol=1e-10):
     transverse rates, for example); other boundary blocks, such as
     lam = (1, 0.5, 0.2) with b^2 = lam1 lam2, keep a full-rank member.
     """
-    L, c0 = compile_generator(block)
+    L, c0 = compile_generator(assemble_full_C(block))
     U, s, Vt = np.linalg.svd(L)
     cutoff = rank_tol * (s[0] if s[0] > 0 else 1.0)
     null_dirs = [Vt[k] for k in range(15) if s[k] <= cutoff]

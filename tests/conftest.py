@@ -1,10 +1,12 @@
 """Shared fixtures and independent oracles.
 
 Everything in here is written from the defining equations without importing
-the production formulas: a 16x16 superoperator integrated by matrix
-exponential stands against the production RK4 component integrator, and an
-exact X-state concurrence stands against the singular-value route.  Only
-`make_bath` is borrowed, as the container the API under test expects.
+the production formulas: 16x16 superoperators, for a common bath and for
+any 6x6 coefficient matrix, integrated by matrix exponential stand against
+the production RK4 component integrator, a stepwise RK4 step stands against
+its compiled step matrix, and an exact X-state concurrence stands against
+the singular-value route.  Only `make_bath` is borrowed, as the container
+the API under test expects.
 """
 
 import numpy as np
@@ -23,6 +25,8 @@ EYE2 = np.eye(2, dtype=complex)
 EYE4 = np.eye(4, dtype=complex)
 
 COLLECTIVE = [np.kron(p, EYE2) + np.kron(EYE2, p) for p in PAULI]
+# sigma_i x 1, then 1 x sigma_i: the operators a 6x6 coefficient matrix couples
+LOCAL = [np.kron(p, EYE2) for p in PAULI] + [np.kron(EYE2, p) for p in PAULI]
 
 _EPS = np.zeros((3, 3, 3))
 for _i, _j, _k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
@@ -52,6 +56,36 @@ def oracle_superoperator(A, B):
                             - 0.5 * np.kron(SiSj, EYE4)
                             - 0.5 * np.kron(EYE4, SiSj.T))
     return L
+
+
+def oracle_general_superoperator(C):
+    """16x16 generator of sum_ab C[a, b] (F_b rho F_a - {F_a F_b, rho} / 2)
+    over the six LOCAL operators, on row-major vectorized 4x4 matrices."""
+    L = np.zeros((16, 16), dtype=complex)
+    for a in range(6):
+        Fa = LOCAL[a]
+        for b in range(6):
+            Fb = LOCAL[b]
+            FaFb = Fa @ Fb
+            L += C[a, b] * (np.kron(Fb, Fa.T)
+                            - 0.5 * np.kron(FaFb, EYE4)
+                            - 0.5 * np.kron(EYE4, FaFb.T))
+    return L
+
+
+def oracle_general_propagate(rho0, C, t):
+    """Exact-in-time propagation under a 6x6 coefficient matrix."""
+    return (scipy.linalg.expm(oracle_general_superoperator(C) * t)
+            @ np.asarray(rho0, dtype=complex).ravel()).reshape(4, 4)
+
+
+def rk4_step(x, dt, deriv):
+    """One classical fourth-order Runge-Kutta step of dx/dt = deriv(x)."""
+    k1 = deriv(x)
+    k2 = deriv(x + 0.5 * dt * k1)
+    k3 = deriv(x + 0.5 * dt * k2)
+    k4 = deriv(x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def oracle_propagate(rho0, A, B, t):
@@ -131,6 +165,14 @@ def random_offaxis_bath(rng):
     # |B| < min eigenvalue of A keeps the full Kossakowski matrix PSD
     b = lam[0] * rng.uniform(0.3, 0.8)
     return make_bath(A, b * direction)
+
+
+def random_psd_C(rng, rank):
+    """Random Hermitian PSD 6x6 coefficient matrix of the given rank,
+    trace 3."""
+    X = rng.normal(size=(6, rank)) + 1j * rng.normal(size=(6, rank))
+    C = X @ X.conj().T
+    return 3.0 * C / np.trace(C).real
 
 
 def random_ket(rng, dim=2):

@@ -12,9 +12,8 @@ from pairbath.bath import assemble_full_C, make_bath
 from pairbath.config import product_state, werner_state
 from pairbath.entanglement import (concurrence, concurrence_closed,
                                    generation_test)
-from pairbath.generator import (diagonal_form_check, evolve, evolve_general,
-                                rate_scale, rhs_components, rhs_equal_blocks,
-                                rhs_general)
+from pairbath.generator import (diagonal_form_check, evolve, rate_scale,
+                                rhs_components, rhs_equal_blocks, rhs_general)
 from pairbath.pauli_algebra import (P_SINGLET, PauliCoefficients,
                                     assemble_matrices, check_appendix_algebra,
                                     convert, tau_of)
@@ -81,8 +80,8 @@ def test_criterion_03_tau_conservation():
     C = np.zeros((6, 6))
     C[:3, :3] = np.eye(3)
     C[3:, 3:] = np.eye(3)
-    rho = evolve_general(P_SINGLET, C, t_end=0.5, dt=0.005)
-    broken = abs(tau_of(convert(rho)) + 3.0)
+    tr = evolve(convert(P_SINGLET), C, t_end=0.5, dt=0.005, sample_every=100)
+    broken = abs(tr.tau[-1] + 3.0)
 
     ok = drift < 1e-9 and broken > 1e-3
     assert _report(3, ok,

@@ -45,6 +45,13 @@ def test_make_bath_rejects_nonpsd():
         make_bath(np.eye(3), [0, 0, 1.5])
 
 
+@pytest.mark.parametrize("A,B", [(np.eye(3), [0, 0, np.nan]),
+                                 (np.diag([1.0, np.inf, 1.0]), np.zeros(3))])
+def test_make_bath_rejects_non_finite(A, B):
+    with pytest.raises(BathValidityError, match="finite"):
+        make_bath(A, B)
+
+
 def test_make_bath_rejects_asymmetric():
     A = np.eye(3)
     A[0, 1] = 1e-6

@@ -13,9 +13,11 @@ from pairbath.config import (ConfigError, build_block, build_initial,
                              load_config, parse_config, run_seed, serialize,
                              werner_state)
 from pairbath.entanglement import concurrence_closed
-from pairbath.generator import _rk4_step, evolve, rhs_components
+from pairbath.generator import evolve, rhs_components
 from pairbath.pauli_algebra import PauliCoefficients, convert, tau_of
 from pairbath.steady_state import stationary_family
+
+from conftest import rk4_step
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -323,7 +325,7 @@ def test_evolve_eigenvalue_below_concurrence_floor_exit_2(tmp_path, capsys):
     assert "reduce dt" in capsys.readouterr().err
     cfgp = load_config(cfg)
     block = build_block(cfgp)
-    x = _rk4_step(build_initial(cfgp).as_vector(), dt, lambda v: rhs_components(
+    x = rk4_step(build_initial(cfgp).as_vector(), dt, lambda v: rhs_components(
         PauliCoefficients.from_vector(v), block).as_vector())
     min_eig = np.linalg.eigvalsh(convert(PauliCoefficients.from_vector(x))).min()
     assert -1e-7 <= min_eig < -1e-8

@@ -14,18 +14,19 @@ from pairbath.config import product_state, werner_state
 from pairbath.entanglement import (concurrence, generation_test,
                                    partial_transpose)
 from pairbath.generator import (RECORD_CHUNK, STRIDE_BLOCK,
-                                IntegrationAccuracyError, _bath_tensor,
-                                _check_samples, _rk4_step, _rk4_step_matrix,
-                                compile_generator, diagonal_form_check, evolve,
-                                evolve_general, rate_scale, rhs_components,
-                                rhs_equal_blocks, rhs_general)
-from pairbath.pauli_algebra import (P_SINGLET, TAU_ENTRIES, PauliCoefficients,
-                                    assemble_matrices, convert, tau_of)
+                                IntegrationAccuracyError, _check_samples,
+                                _generator_tensor, _lindblad_sum,
+                                _rk4_step_matrix, compile_generator,
+                                diagonal_form_check, evolve, rate_scale,
+                                rhs_components, rhs_equal_blocks, rhs_general)
+from pairbath.pauli_algebra import (EXPANSION, P_SINGLET, TAU_ENTRIES,
+                                    PauliCoefficients, assemble_matrices,
+                                    convert, tau_of)
 from pairbath.selfcheck import random_block
 
-from conftest import (oracle_propagate, oracle_rhs, random_aligned_bath,
-                      random_ket, random_offaxis_bath, random_state,
-                      trace_distance)
+from conftest import (oracle_general_propagate, oracle_propagate, oracle_rhs,
+                      random_aligned_bath, random_ket, random_offaxis_bath,
+                      random_psd_C, random_state, rk4_step, trace_distance)
 
 
 def _components_as_matrix(coeffs, block):
@@ -103,7 +104,7 @@ def _stepwise_rk4(initial, block, n_steps, dt, sample_every):
     x = initial.as_vector()
     times, samples = [0.0], [x]
     for step in range(1, n_steps + 1):
-        x = _rk4_step(x, dt, deriv)
+        x = rk4_step(x, dt, deriv)
         if step % sample_every == 0 or step == n_steps:
             times.append(step * dt)
             samples.append(x)
@@ -167,7 +168,7 @@ def test_blocked_strides_match_sequential_products(rng, n_steps, sample_every):
             assert n_strides % STRIDE_BLOCK
             initial = convert(random_state(rng))
             tr = evolve(initial, blk, t_end=n * dt, dt=dt, sample_every=every)
-            step = _rk4_step_matrix(*compile_generator(blk), dt)
+            step = _rk4_step_matrix(*compile_generator(assemble_full_C(blk)), dt)
             stride = np.linalg.matrix_power(step, every)
             y = np.append(initial.as_vector(), 1.0)
             expected = [y]
@@ -255,20 +256,22 @@ def test_first_failure_past_a_chunk_boundary_is_reported():
 
 
 def test_evolve_compiles_generator_once(rng, monkeypatch):
-    # the bath tensor costs 16 rhs_components calls on each of 9 unit baths,
-    # once per process; every compile after that makes none
+    # the generator tensor costs 16 _lindblad_sum calls on each of the 36
+    # unit Hermitian matrices, once per process; every compile after that
+    # makes none
     calls = []
 
-    def counting(state, block):
+    def counting(state, C):
         calls.append(1)
-        return rhs_components(state, block)
+        return _lindblad_sum(state, C)
 
-    monkeypatch.setattr("pairbath.generator.rhs_components", counting)
-    _bath_tensor.cache_clear()
-    _bath_tensor()
-    assert len(calls) == 9 * 16
+    monkeypatch.setattr("pairbath.generator._lindblad_sum", counting)
+    _generator_tensor.cache_clear()
+    _generator_tensor()
+    assert len(calls) == 36 * 16
     calls.clear()
     evolve(convert(random_state(rng)), random_aligned_bath(rng))
+    evolve(convert(random_state(rng)), random_psd_C(rng, 6), t_end=0.1, dt=0.01)
     assert calls == []
 
 
@@ -291,8 +294,53 @@ def test_compiled_generator_matches_evaluations(rng):
     blocks.append(boundary)
     for blk in blocks:
         expected = _compile_by_evaluation(blk)
-        got = np.column_stack(compile_generator(blk))
+        got = np.column_stack(compile_generator(assemble_full_C(blk)))
         assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def _general_by_evaluation(C):
+    """Reference [L | c0]: rhs_general at the zero vector and at each unit
+    vector, projected onto the expansion operators."""
+    states = assemble_matrices(np.vstack([np.zeros(15), np.eye(15)]))
+    derivs = np.array([rhs_general(s, C) for s in states])
+    coeffs = np.trace(derivs @ EXPANSION[:, None], axis1=-2, axis2=-1).real
+    return np.column_stack([coeffs[:, 1:] - coeffs[:, :1], coeffs[:, 0]])
+
+
+@pytest.mark.parametrize("rank", range(1, 7))
+def test_compiled_general_generator_matches_rhs_general(rng, rank):
+    for _ in range(20):
+        C = random_psd_C(rng, rank)
+        expected = _general_by_evaluation(C)
+        got = np.column_stack(compile_generator(C))
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def test_evolve_general_C_matches_exponential_oracle(rng):
+    decoupled = np.zeros((6, 6))
+    decoupled[:3, :3] = decoupled[3:, 3:] = np.eye(3)
+    for C in [decoupled] + [random_psd_C(rng, rank) for rank in range(1, 7)]:
+        rho0 = random_state(rng)
+        tr = evolve(convert(rho0), C, t_end=0.5, dt=0.0025, sample_every=100)
+        expected = oracle_general_propagate(rho0, C, 0.5)
+        assert trace_distance(assemble_matrices(tr.coeffs[-1]), expected) < 1e-9
+
+
+def test_evolve_coefficient_matrix_input(rng):
+    blk = random_offaxis_bath(rng)
+    state = convert(random_state(rng))
+    by_block = evolve(state, blk, t_end=1.0, dt=0.01)
+    by_matrix = evolve(state, assemble_full_C(blk), t_end=1.0, dt=0.01)
+    assert np.array_equal(by_matrix.coeffs, by_block.coeffs)
+    # a coefficient matrix has no rate scale to default the grid from
+    with pytest.raises(ValueError, match="explicit t_end and dt"):
+        evolve(state, assemble_full_C(blk))
+    with pytest.raises(ValueError, match="explicit t_end and dt"):
+        evolve(state, assemble_full_C(blk), t_end=1.0)
+    with pytest.raises(ValueError, match="negative"):
+        evolve(state, -np.eye(6), t_end=1.0, dt=0.01)
+    with pytest.raises(ValueError, match="Hermitian"):
+        evolve(state, np.triu(np.ones((6, 6))), t_end=1.0, dt=0.01)
 
 
 @pytest.mark.parametrize("first", ["trace_err", "min_pt_eig", "concurrence"])
@@ -387,8 +435,8 @@ def test_decoupled_blocks_break_tau_conservation():
     C = np.zeros((6, 6))
     C[:3, :3] = np.eye(3)
     C[3:, 3:] = np.eye(3)
-    rho = evolve_general(P_SINGLET, C, t_end=0.5, dt=0.005)
-    assert abs(tau_of(convert(rho)) - (-3.0)) > 1e-3
+    tr = evolve(convert(P_SINGLET), C, t_end=0.5, dt=0.005, sample_every=100)
+    assert abs(tr.tau[-1] - (-3.0)) > 1e-3
 
 
 def test_general_form_reduces_to_equal_blocks(rng):

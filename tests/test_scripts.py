@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -43,3 +44,28 @@ def test_phase_diagram_with_evolve_check(tmp_path, capsys):
     assert thresholds.shape == (3, 2)
     spot = re.search(r"max \|closed - evolved\| = (\S+)", capsys.readouterr().out)
     assert float(spot.group(1)) < 1e-9
+
+
+@pytest.mark.parametrize("name,threshold", [("phase.txt", "phase_threshold.txt"),
+                                            ("phase", "phase_threshold")])
+def test_phase_diagram_threshold_path_keeps_any_suffix(tmp_path, capsys, name, threshold):
+    out = tmp_path / name
+    assert load_script("phase_diagram").main(
+        ["--out", str(out), "--tau-points", "5", "--f-points", "3"]) == 0
+    assert read_rows(out, "tau,f,concurrence").shape == (15, 3)
+    assert read_rows(tmp_path / threshold, "f,tau_threshold").shape == (3, 2)
+    assert f"wrote {out} and {tmp_path / threshold}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("script,lam,message", [
+    ("phase_diagram", "1,1", "expected 3 entries"),
+    ("phase_diagram", "1,-1,1", "negative eigenvalue"),
+    ("werner_enhancement", "1,1", "expected 3 entries"),
+])
+def test_scripts_reject_bad_rates(tmp_path, capsys, script, lam, message):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        load_script(script).main(["--out", str(out), "--lam", lam])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
