@@ -36,11 +36,16 @@ def main(argv=None):
     parser.add_argument("--check-evolve", action="store_true",
                         help="spot-check grid corners by direct integration")
     args = parser.parse_args(argv)
+    for flag, n in (("--tau-points", args.tau_points), ("--f-points", args.f_points)):
+        if n < 1:
+            parser.error(f"{flag} must be at least 1, got {n}")
 
     try:
         lam = [float(x) for x in args.lam.split(",")]
-        build_block(parse_config({"bath": {"lambda": lam, "B": [0.0, 0.0, 0.0]},
-                                  "initial": {"werner": {"s": 0.0}}}))
+        # ClosedFormNotApplicable, a ValueError, refuses rates of rank <= 1
+        stationary_family(build_block(parse_config(
+            {"bath": {"lambda": lam, "B": [0.0, 0.0, 0.0]},
+             "initial": {"werner": {"s": 0.0}}})))
     except ValueError as exc:
         parser.error(f"--lam {args.lam}: {exc}")
     b_max = np.sqrt(lam[0] * lam[1])

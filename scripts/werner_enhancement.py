@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from pairbath import concurrence, convert, werner_state
+from pairbath import concurrence, convert, stationary_family, werner_state
 from pairbath.cli import sweep_rows
 from pairbath.config import build_block, parse_config
 
@@ -32,12 +32,15 @@ def main(argv=None):
     parser.add_argument("--points", type=int, default=16,
                         help="number of s values in [0, 3/4]")
     args = parser.parse_args(argv)
+    if args.points < 1:
+        parser.error(f"--points must be at least 1, got {args.points}")
 
     try:
         cfg = parse_config({"bath": {"lambda": [float(x) for x in args.lam.split(",")],
                                      "B": [0.0, 0.0, args.b]},
                             "initial": {"werner": {"s": 0.0}}})
-        build_block(cfg)
+        # ClosedFormNotApplicable, a ValueError, refuses rates of rank <= 1
+        stationary_family(build_block(cfg))
     except ValueError as exc:
         parser.error(str(exc))
 

@@ -23,10 +23,9 @@ class BathValidityError(ValueError):
 
 def hermitian_block(A, B):
     """Assemble the Hermitian combination of a symmetric A and a vector B."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    # row j is B x e_j, whose entry k is sum_i eps_jki B[i]
-    return A + 1j * np.cross(B, np.eye(3))
+    bx, by, bz = np.asarray(B, dtype=float)
+    eps_b = np.array([[0.0, bz, -by], [-bz, 0.0, bx], [by, -bx, 0.0]])
+    return np.asarray(A, dtype=float) + 1j * eps_b
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ root of the bath block, and the general form over any 6x6 Hermitian
 coefficient matrix C (a common bath is C = `assemble_full_C(block)`).  The
 only production form is the affine one of `compile_generator`, used by
 `evolve` and the null-space solver: one contraction of the 36 real
-parameters of C with a tensor built once, on first use, from the general
-form on unit Hermitian matrices.
+parameters of C with a tensor built once, on first use, from 36 stacked
+evaluations of the general form, one per unit Hermitian matrix.
 """
 
 from dataclasses import dataclass
@@ -19,13 +19,13 @@ import numpy as np
 from .bath import KossakowskiBlock, assemble_full_C
 from .entanglement import (STATE_EIG_FLOOR, _psd_sqrt, concurrence,
                            partial_transpose)
-from .pauli_algebra import (BIG_SIGMA, EXPANSION, IDENT2, PauliCoefficients,
-                            SIGMA, TAU_ENTRIES, assemble_matrices)
+from .pauli_algebra import (BIG_SIGMA, EXPANSION, PauliCoefficients,
+                            TAU_ENTRIES, assemble_matrices)
 
 # cached products Sigma_i Sigma_j for the anticommutator terms
 _SIG_PROD = [[BIG_SIGMA[i] @ BIG_SIGMA[j] for j in range(3)] for i in range(3)]
 
-_F_OPS = [np.kron(s, IDENT2) for s in SIGMA] + [np.kron(IDENT2, s) for s in SIGMA]
+_F_OPS = EXPANSION[[3, 4, 5, 0, 1, 2]]
 
 # Samples that `evolve` checks, or whose observables `Trajectory` computes, in
 # one batch.  A bounded batch keeps the eigh/SVD temporaries small however
@@ -100,8 +100,9 @@ def _check_coefficient_matrix(C):
 
 
 def _lindblad_sum(state, C):
-    """sum_ab C[a, b] (F_b rho F_a - {F_a F_b, rho} / 2) for any 6x6 C."""
-    out = np.zeros((4, 4), dtype=complex)
+    """sum_ab C[a, b] (F_b rho F_a - {F_a F_b, rho} / 2) for any 6x6 C, on
+    one 4x4 state or a stack of them."""
+    out = np.zeros(np.shape(state), dtype=complex)
     for a in range(6):
         Fa = _F_OPS[a]
         for b in range(6):
@@ -133,21 +134,20 @@ _THETA = np.concatenate([2 * np.arange(0, 36, 7), 2 * _TRIU6, 2 * _TRIU6 + 1])
 def _generator_tensor():
     """(36, 15, 16) tensor T with [L | c0] = sum_p theta_p T[p].
 
-    T[p] is `_lindblad_sum` on the unit Hermitian matrix of parameter p,
-    projected onto `EXPANSION`: at the 15 unit coefficient vectors minus at
-    the zero vector (columns 0-14), and at the zero vector (column 15).
-    Unit matrices are not positive, so the build bypasses the check of
-    `rhs_general`.  Every entry is a multiple of 1/2, so T is exact.
-    Read-only, as every caller shares it.
+    T[p] is one `_lindblad_sum` of the unit Hermitian matrix of parameter p
+    on the 15 unit coefficient vectors and the zero vector, stacked, projected
+    onto `EXPANSION`: at the unit vectors minus at the zero vector (columns
+    0-14), and at the zero vector (column 15).  Unit matrices are not
+    positive, so the build bypasses the check of `rhs_general`.  Every entry
+    is a multiple of 1/2, so T is exact.  Read-only, as every caller shares it.
     """
     states = assemble_matrices(np.vstack([np.eye(15), np.zeros(15)]))
     units = np.zeros((36, 6, 6), dtype=complex)
     units.view(float).reshape(36, 72)[range(36), _THETA] = 1.0
     units += np.triu(units, 1).conj().swapaxes(1, 2)
     T = np.empty((36, 15, 16))
-    for p, k in np.ndindex(36, 16):
-        deriv = _lindblad_sum(states[k], units[p])
-        T[p, :, k] = np.einsum("ij,nji->n", deriv, EXPANSION).real
+    for p, u in enumerate(units):
+        T[p] = np.tensordot(EXPANSION, _lindblad_sum(states, u), ([1, 2], [2, 1])).real
     T[:, :, :15] -= T[:, :, 15:]
     T.flags.writeable = False
     return T

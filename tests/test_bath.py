@@ -29,6 +29,17 @@ def test_hermitian_block_matches_oracle(rng):
         assert np.abs(hermitian_block(A, B) - kossakowski_matrix(A, B)).max() < 1e-15
 
 
+def test_hermitian_block_equals_cross_product_form(rng):
+    # row j of the imaginary part is B x e_j; byte-equal to that form even for
+    # signed zeros in B (A holds no -0.0, whose sign the cross form leaves to B)
+    for _ in range(500):
+        A = rng.normal(size=(3, 3))
+        A = np.where(rng.random((3, 3)) < 0.3, 0.0, A + A.T)
+        B = np.where(rng.random(3) < 0.5, rng.choice([0.0, -0.0], 3), rng.normal(size=3))
+        assert (hermitian_block(A, B).tobytes()
+                == (A + 1j * np.cross(B, np.eye(3))).tobytes())
+
+
 def test_make_bath_basic():
     blk = make_bath(np.diag([2.0, 1.0, 1.0]), [0, 0, 1.0])
     assert np.allclose(blk.A, np.diag([2, 1, 1]))

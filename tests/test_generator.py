@@ -13,15 +13,15 @@ from pairbath.bath import assemble_full_C, make_bath
 from pairbath.config import product_state, werner_state
 from pairbath.entanglement import (concurrence, generation_test,
                                    partial_transpose)
-from pairbath.generator import (RECORD_CHUNK, STRIDE_BLOCK,
+from pairbath.generator import (_F_OPS, _THETA, RECORD_CHUNK, STRIDE_BLOCK,
                                 IntegrationAccuracyError, _check_samples,
                                 _generator_tensor, _lindblad_sum,
                                 _rk4_step_matrix, compile_generator,
                                 diagonal_form_check, evolve, rate_scale,
                                 rhs_components, rhs_equal_blocks, rhs_general)
-from pairbath.pauli_algebra import (EXPANSION, P_SINGLET, TAU_ENTRIES,
-                                    PauliCoefficients, assemble_matrices,
-                                    convert, tau_of)
+from pairbath.pauli_algebra import (EXPANSION, IDENT2, P_SINGLET, SIGMA,
+                                    TAU_ENTRIES, PauliCoefficients,
+                                    assemble_matrices, convert, tau_of)
 from pairbath.selfcheck import random_block
 
 from conftest import (oracle_general_propagate, oracle_propagate, oracle_rhs,
@@ -256,23 +256,56 @@ def test_first_failure_past_a_chunk_boundary_is_reported():
 
 
 def test_evolve_compiles_generator_once(rng, monkeypatch):
-    # the generator tensor costs 16 _lindblad_sum calls on each of the 36
-    # unit Hermitian matrices, once per process; every compile after that
-    # makes none
+    # the generator tensor costs one _lindblad_sum call on each of the 36
+    # unit Hermitian matrices, each on the stack of 16 unit and zero states,
+    # once per process; every compile after that makes none
     calls = []
 
     def counting(state, C):
-        calls.append(1)
+        calls.append(state.shape)
         return _lindblad_sum(state, C)
 
     monkeypatch.setattr("pairbath.generator._lindblad_sum", counting)
     _generator_tensor.cache_clear()
     _generator_tensor()
-    assert len(calls) == 36 * 16
+    assert calls == [(16, 4, 4)] * 36
     calls.clear()
     evolve(convert(random_state(rng)), random_aligned_bath(rng))
     evolve(convert(random_state(rng)), random_psd_C(rng, 6), t_end=0.1, dt=0.01)
     assert calls == []
+
+
+def _tensor_one_state_at_a_time():
+    """Reference generator tensor from 576 single-state `_lindblad_sum` calls,
+    one per unit Hermitian matrix and unit (or zero) coefficient vector."""
+    states = assemble_matrices(np.vstack([np.eye(15), np.zeros(15)]))
+    units = np.zeros((36, 6, 6), dtype=complex)
+    units.view(float).reshape(36, 72)[range(36), _THETA] = 1.0
+    units += np.triu(units, 1).conj().swapaxes(1, 2)
+    T = np.empty((36, 15, 16))
+    for p, k in np.ndindex(36, 16):
+        deriv = _lindblad_sum(states[k], units[p])
+        T[p, :, k] = np.einsum("ij,nji->n", deriv, EXPANSION).real
+    T[:, :, :15] -= T[:, :, 15:]
+    return T
+
+
+def test_generator_tensor_equals_single_state_build():
+    local = ([np.kron(s, IDENT2) for s in SIGMA]
+             + [np.kron(IDENT2, s) for s in SIGMA])
+    assert np.array_equal(_F_OPS, local)
+    T = _generator_tensor()
+    assert T.tobytes() == _tensor_one_state_at_a_time().tobytes()
+    # compile_generator reshapes it without a copy, and every caller shares it
+    assert T.flags.c_contiguous and not T.flags.writeable
+
+
+@pytest.mark.parametrize("rank", [1, 6])
+def test_lindblad_sum_on_a_stack_equals_per_state_calls(rng, rank):
+    states = np.array([random_state(rng) for _ in range(16)])
+    C = random_psd_C(rng, rank)
+    per_state = np.array([_lindblad_sum(s, C) for s in states])
+    assert _lindblad_sum(states, C).tobytes() == per_state.tobytes()
 
 
 def _compile_by_evaluation(block):

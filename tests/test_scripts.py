@@ -60,12 +60,29 @@ def test_phase_diagram_threshold_path_keeps_any_suffix(tmp_path, capsys, name, t
 @pytest.mark.parametrize("script,lam,message", [
     ("phase_diagram", "1,1", "expected 3 entries"),
     ("phase_diagram", "1,-1,1", "negative eigenvalue"),
+    ("phase_diagram", "1,0,0", "rank <= 1"),
     ("werner_enhancement", "1,1", "expected 3 entries"),
+    ("werner_enhancement", "1,0,0", "rank <= 1"),
 ])
 def test_scripts_reject_bad_rates(tmp_path, capsys, script, lam, message):
     out = tmp_path / "out.csv"
+    argv = ["--out", str(out), "--lam", lam]
+    if script == "werner_enhancement":
+        argv += ["--b", "0"]  # the default |B| = 0.5 is not positive on rank-1 rates
     with pytest.raises(SystemExit) as exc:
-        load_script(script).main(["--out", str(out), "--lam", lam])
+        load_script(script).main(argv)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("script,flag", [("phase_diagram", "--tau-points"),
+                                         ("phase_diagram", "--f-points"),
+                                         ("werner_enhancement", "--points")])
+def test_scripts_reject_grid_sizes_below_one(tmp_path, capsys, script, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        load_script(script).main(["--out", str(tmp_path / "out.csv"), flag, value])
+    assert exc.value.code == 2
+    assert f"{flag} must be at least 1, got {value}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
