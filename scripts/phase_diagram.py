@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from pairbath import concurrence_closed, make_bath, stationary_family
-from pairbath.cli import sweep_rows
+from pairbath.cli import _output_error, sweep_rows
 from pairbath.config import build_block, parse_config
 
 
@@ -39,6 +39,11 @@ def main(argv=None):
     for flag, n in (("--tau-points", args.tau_points), ("--f-points", args.f_points)):
         if n < 1:
             parser.error(f"{flag} must be at least 1, got {n}")
+    stem, suffix = os.path.splitext(args.out)
+    threshold_path = f"{stem}_threshold{suffix}"
+    for path in (args.out, threshold_path):
+        if (exc := _output_error(path)) is not None:
+            parser.error(f"cannot write output: {exc}")
 
     try:
         lam = [float(x) for x in args.lam.split(",")]
@@ -69,8 +74,6 @@ def main(argv=None):
         for row in rows:
             fh.write(",".join(f"{v:.15g}" for v in row) + "\n")
 
-    stem, suffix = os.path.splitext(args.out)
-    threshold_path = f"{stem}_threshold{suffix}"
     with open(threshold_path, "w", encoding="utf-8") as fh:
         fh.write("f,tau_threshold\n")
         for f, thr in thresholds:

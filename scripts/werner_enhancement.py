@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from pairbath import concurrence, convert, stationary_family, werner_state
-from pairbath.cli import sweep_rows
+from pairbath.cli import _output_error, sweep_rows
 from pairbath.config import build_block, parse_config
 
 
@@ -34,6 +34,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.points < 1:
         parser.error(f"--points must be at least 1, got {args.points}")
+    if (exc := _output_error(args.out)) is not None:
+        parser.error(f"cannot write output: {exc}")
 
     try:
         cfg = parse_config({"bath": {"lambda": [float(x) for x in args.lam.split(",")],

@@ -96,82 +96,60 @@ def herm_rank(block):
 
 @dataclass(frozen=True)
 class PrincipalFrame:
-    """Orthogonal frame data for a bath block.
+    """The frame the closed forms assume, when a bath block has one.
 
-    rotation diagonalizes A with eigenvalues lam in descending order
-    (rotation @ A @ rotation.T = diag(lam), det +1); B_rot = rotation @ B.
     closed_form_applicable is True when herm has rank at least 2 and B is
     an eigenvector of A: with u = B/|B|, ||A u - (u.A u) u|| <=
-    1e-10 max(1, max|lam|) (always true for B = 0).
+    1e-10 max(1, max|eig A|) (always true for B = 0).
 
-    The aligned_* fields give the frame the closed forms assume: B along
-    axis 3 with aligned_b = |B| >= 0, and the first two axes diagonalizing
-    A on the plane transverse to B with aligned_lam[0] >= aligned_lam[1];
-    aligned_lam[2] = u.A u.  For B = 0 the aligned frame is rotation.  They
-    are None when not applicable.
+    The aligned_* fields give the frame: B along axis 3 with
+    aligned_b = |B| >= 0, and the first two axes diagonalizing A on the
+    plane transverse to B with aligned_lam[0] >= aligned_lam[1];
+    aligned_lam[2] = u.A u.  For B = 0 the frame is the eigenframe of A,
+    eigenvalues descending.  They are None when not applicable.
     """
 
-    rotation: np.ndarray
-    lam: np.ndarray
-    B_rot: np.ndarray
     closed_form_applicable: bool
-    boundary: bool
     aligned_rotation: np.ndarray | None
     aligned_lam: np.ndarray | None
     aligned_b: float | None
 
 
+_NOT_APPLICABLE = PrincipalFrame(False, None, None, None)
+
+
 def principal_frame(block):
-    """Eigen-frame of A, and the frame aligned with B when B is an eigenvector.
+    """The frame aligned with B, when B is an eigenvector of A.
 
-    rotation holds the eigenvectors of A as rows, eigenvalues descending,
-    the last row flipped if needed for det +1.  The closed form is refused
-    when herm has rank <= 1 (`herm_rank`): a single collective jump
-    operator leaves more conserved quantities than tau, so the asymptotic
-    state is not fixed by tau alone.  Otherwise, with u = B/|B|, the closed
-    form applies when the residual ||A u - (u.A u) u|| is at most
-    1e-10 max(1, max|lam|); the aligned frame is then the 2x2
+    The closed form is refused when herm has rank <= 1 (`herm_rank`): a
+    single collective jump operator leaves more conserved quantities than
+    tau, so the asymptotic state is not fixed by tau alone.  For B = 0 the
+    frame is the eigendecomposition of A.  Otherwise, with u = B/|B|, the
+    closed form applies when the residual ||A u - (u.A u) u|| is at most
+    1e-10 max(1, max|eig A|); the aligned frame is then the 2x2
     eigendecomposition of A on the plane transverse to u (larger rate
-    first), followed by u, the second row flipped if needed for det +1.
-    The steady state depends on that frame G only through G.T diag(.) G and
-    the direction u, so row signs and the basis inside a degenerate plane
-    do not matter.
+    first), followed by u.  The steady state depends on that frame G only
+    through G.T diag(.) G and the direction u, so row signs, the sign of
+    det G and the basis inside a degenerate plane do not matter.
     """
+    if herm_rank(block) <= 1:
+        return _NOT_APPLICABLE
     A, B = block.A, block.B
-    w, V = np.linalg.eigh(A)
-    lam = w[::-1]
-    rotation = V[:, ::-1].T.copy()
-    if np.linalg.det(rotation) < 0:
-        rotation[2] *= -1
-    B_rot = rotation @ B
-
     bnorm = float(np.linalg.norm(B))
-    if 0.0 < bnorm < 1e-150:
+    if bnorm == 0.0:
+        w, V = np.linalg.eigh(A)
+        return PrincipalFrame(True, V[:, ::-1].T, w[::-1], 0.0)
+    if bnorm < 1e-150:
         # B.B falls among the subnormals and keeps few digits: scale first
         bnorm = float(np.linalg.norm(B * 2.0**600)) * 2.0**-600
-    applicable = herm_rank(block) >= 2
-    aligned_rotation, aligned_lam, aligned_b = rotation, lam, 0.0
-    if applicable and bnorm > 0.0:
-        u = B / bnorm
-        Au = A @ u
-        lam_u = float(u @ Au)
-        scale = max(1.0, float(np.abs(lam).max()))
-        applicable = bool(np.linalg.norm(Au - lam_u * u) <= 1e-10 * scale)
-        if applicable:
-            # the rows of E span the plane transverse to u
-            E = np.linalg.svd(u[None, :])[2][1:]
-            t, W = np.linalg.eigh(E @ A @ E.T)
-            G = np.vstack([W[:, ::-1].T @ E, u])
-            if np.linalg.det(G) < 0:
-                G[1] *= -1
-            aligned_rotation = G
-            aligned_lam = np.array([t[1], t[0], lam_u])
-            aligned_b = bnorm
-    if not applicable:
-        aligned_rotation = aligned_lam = aligned_b = None
-
-    return PrincipalFrame(rotation=rotation, lam=lam, B_rot=B_rot,
-                          closed_form_applicable=applicable,
-                          boundary=block.boundary,
-                          aligned_rotation=aligned_rotation,
-                          aligned_lam=aligned_lam, aligned_b=aligned_b)
+    u = B / bnorm
+    Au = A @ u
+    lam_u = float(u @ Au)
+    scale = max(1.0, float(np.abs(np.linalg.eigvalsh(A)).max()))
+    if np.linalg.norm(Au - lam_u * u) > 1e-10 * scale:
+        return _NOT_APPLICABLE
+    # the rows of E span the plane transverse to u
+    E = np.linalg.svd(u[None, :])[2][1:]
+    t, W = np.linalg.eigh(E @ A @ E.T)
+    return PrincipalFrame(True, np.vstack([W[:, ::-1].T @ E, u]),
+                          np.array([t[1], t[0], lam_u]), bnorm)

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathValidityError, make_bath
-from .pauli_algebra import PauliCoefficients, convert
+from .entanglement import STATE_EIG_FLOOR
+from .pauli_algebra import (PauliCoefficients, check_density_matrix, convert,
+                            tau_of)
 
 
 class ConfigError(ValueError):
@@ -133,6 +135,17 @@ def _parse_variant(node, field, allow_mixed=True):
         rij = _reals(body.get("rij"), f"{field}.pauli.rij")
         if rij.shape != (3, 3):
             raise ConfigError(f"{field}.pauli.rij: expected 3x3, got shape {rij.shape}")
+        # the tolerances of the integrator's state check and of the
+        # closed-form tau range
+        state = PauliCoefficients(r0i, ri0, rij)
+        try:
+            check_density_matrix(convert(state), psd_floor=STATE_EIG_FLOOR)
+        except ValueError as exc:
+            raise ConfigError(f"{field}.pauli: not a state: {exc}") from None
+        tau = tau_of(state)
+        if not -3.0 - 1e-12 <= tau <= 1.0 + 1e-12:
+            raise ConfigError(f"{field}.pauli.rij: correlation trace {tau!r} "
+                              "outside [-3, 1]")
         return {"pauli": {"r0i": r0i.tolist(), "ri0": ri0.tolist(),
                           "rij": rij.tolist()}}
 
@@ -261,14 +274,18 @@ def _variant_state(variant):
                                  np.asarray(body["ri0"], dtype=float),
                                  np.asarray(body["rij"], dtype=float))
     if key == "mixed":
-        acc = PauliCoefficients.zero()
+        # the weights sum to 1 within 1e-9; dividing by their sum keeps the
+        # mixture a state
+        acc, total = PauliCoefficients.zero(), 0.0
         for item in body:
             sub = _variant_state({k: v for k, v in item.items() if k != "weight"})
             w = item["weight"]
             acc = PauliCoefficients(acc.r0i + w * sub.r0i,
                                     acc.ri0 + w * sub.ri0,
                                     acc.rij + w * sub.rij)
-        return acc
+            total += w
+        return PauliCoefficients(acc.r0i / total, acc.ri0 / total,
+                                 acc.rij / total)
     raise ConfigError(f"initial.{key}: unknown state variant")
 
 

@@ -130,8 +130,6 @@ def suite_nullspace_oracle(rng):
             return False, "no full-rank member found at interior bath"
         for tau in (-2.5, 0.0, 0.9):
             member = stationary_member(sol, tau)
-            if member is None:
-                return False, "stationary line does not move tau at interior bath"
             eq = equilibrium_components(tau, fam)
             worst = max(worst, float(np.abs(member - eq.state).max()))
     return worst < 1e-9, f"max oracle-vs-closed-form deviation {worst:.2e}"

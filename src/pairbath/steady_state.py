@@ -28,13 +28,18 @@ class ClosedFormNotApplicable(ValueError):
 @dataclass(frozen=True)
 class StationaryFamily:
     """Closed-form stationary data of a block: scalars M, N, R and the
-    maximal-rank reference state, expressed in the input frame."""
+    aligned frame they are expressed in."""
 
     M: float
     N: float
     R: float
-    rho0_hat: np.ndarray
     frame: object
+
+    @property
+    def rho0_hat(self):
+        """The maximal-rank reference state, in the input frame: the family
+        member at tau = 2R, whose components are M, -N, N, R."""
+        return _member(2 * self.R, self).state
 
 
 @dataclass(frozen=True)
@@ -46,20 +51,14 @@ class EquilibriumState:
     state: np.ndarray
 
 
-def _rotate_back(frame, r_aligned, rij_aligned):
-    G = frame.aligned_rotation
-    return G.T @ r_aligned, G.T @ rij_aligned @ G
-
-
 def stationary_family(block):
-    """Scalars M, N, R and the maximal-rank reference state.
+    """Scalars M, N, R and the aligned frame of the closed form.
 
     Requires the bath vector to lie on a principal axis of A (else the
     two smaller rates are not well defined and the closed form does not
     apply) and the bath matrix to have rank at least 2 (else tau is not the
     only conserved quantity; see `principal_frame`).  In the aligned frame
-    the two axes transverse to B carry the rates lam1 >= lam2; the reference
-    state is assembled there and rotated back to the input frame.  At the
+    the two axes transverse to B carry the rates lam1 >= lam2.  At the
     boundary b^2 = lam1 lam2 the family can degenerate to reduced rank (with
     equal transverse rates it does; for lam = (1, 0.5, 0.2) the reference
     state keeps a smallest eigenvalue of about 0.0068); a boundary reference
@@ -85,14 +84,11 @@ def stationary_family(block):
         R = (lam1 + lam2 + 4 * lam3) * b * b / (2 * (lam1 + lam2) * e2)
         saturated = b * b > lam1 * lam2 * (1 - 1e-12)
 
-    r_al = np.array([0.0, 0.0, M])
-    rij_al = np.diag([-2 * N, 2 * N, 2 * R])
-    r, rij = _rotate_back(frame, r_al, rij_al)
-    rho0 = convert(PauliCoefficients(r, r, rij))
-    if saturated and np.linalg.eigvalsh(rho0).min() < 1e-12:
+    family = StationaryFamily(M=M, N=N, R=R, frame=frame)
+    if saturated and np.linalg.eigvalsh(family.rho0_hat).min() < 1e-12:
         warnings.warn("bath vector saturates b^2 = lam1*lam2; "
                       "reference state is rank deficient")
-    return StationaryFamily(M=M, N=N, R=R, rho0_hat=rho0, frame=frame)
+    return family
 
 
 def equilibrium_components(tau, family):
@@ -105,6 +101,12 @@ def equilibrium_components(tau, family):
     tau = float(tau)
     if not (-3.0 - 1e-12 <= tau <= 1.0 + 1e-12):
         raise ValueError(f"correlation trace {tau} outside [-3, 1]")
+    return _member(tau, family)
+
+
+def _member(tau, family):
+    # the reference state sits at tau = 2R, which rounding can put past 1 on
+    # a bath at the positivity boundary, so the range check stays outside
     M, N, R = family.M, family.N, family.R
     D = 3 + 2 * R
     rho_3 = (3 + tau) * M / D
@@ -112,9 +114,9 @@ def equilibrium_components(tau, family):
     rho_22 = ((1 + 2 * N) * tau + 2 * (3 * N - R)) / (2 * D)
     rho_33 = (4 * R + (1 + 2 * R) * tau) / (2 * D)
 
-    r_al = np.array([0.0, 0.0, rho_3])
-    rij_al = np.diag([2 * rho_11, 2 * rho_22, 2 * rho_33])
-    r, rij = _rotate_back(family.frame, r_al, rij_al)
+    G = family.frame.aligned_rotation
+    r = G.T @ np.array([0.0, 0.0, rho_3])
+    rij = G.T @ np.diag([2 * rho_11, 2 * rho_22, 2 * rho_33]) @ G
     state = convert(PauliCoefficients(r, r, rij))
     return EquilibriumState(tau=tau,
                             components={"rho_3": rho_3, "rho_11": rho_11,
@@ -147,11 +149,6 @@ def asymptotic_state(initial, family):
         raise RuntimeError(
             f"projector map and component formulas disagree by {mismatch:.3e}")
     return EquilibriumState(tau=eq.tau, components=eq.components, state=rho_hat)
-
-
-def _min_eig(vecs):
-    """Smallest eigenvalue of each coefficient vector's matrix, (..., 15) -> (...)."""
-    return np.linalg.eigvalsh(assemble_matrices(vecs)).min(axis=-1)
 
 
 def _line_search(vec, direction, lo, hi, iters=200):
@@ -214,40 +211,37 @@ def liouvillian_null_space(block, rank_tol=1e-10):
 
     member = particular
     if len(null_dirs) == 1:
+        # tau is conserved and every tau in [-3, 1] has a stationary state,
+        # so the line moves tau: parametrize by it and scan its range
         d = null_dirs[0]
         tau_d = d[TAU_ENTRIES].sum()
-        if abs(tau_d) > 1e-8:
-            # parametrize by tau and scan its physical range
-            tau_p = particular[TAU_ENTRIES].sum()
-            lo, hi = (-3.0 - tau_p) / tau_d, (1.0 - tau_p) / tau_d
-            member = _line_search(particular, d, min(lo, hi), max(lo, hi))
-        else:
-            member = _line_search(particular, d, -10.0, 10.0)
+        tau_p = particular[TAU_ENTRIES].sum()
+        lo, hi = (-3.0 - tau_p) / tau_d, (1.0 - tau_p) / tau_d
+        member = _line_search(particular, d, min(lo, hi), max(lo, hi))
     elif len(null_dirs) > 1:
         for _ in range(4):
             for d in null_dirs:
                 member = _line_search(member, d, -4.0, 4.0, iters=80)
 
-    ok = _min_eig(member) > 1e-8
+    member = assemble_matrices(member)
+    ok = np.linalg.eigvalsh(member).min() > 1e-8
     return {"dimension": len(null_dirs),
             "basis": null_dirs,
-            "full_rank_member": assemble_matrices(member) if ok else None}
+            "full_rank_member": member if ok else None}
 
 
 def stationary_member(sol, tau):
     """Stationary state at correlation trace tau from the numerical oracle.
 
     Moves the full-rank member of the `liouvillian_null_space` result `sol`
-    along its one-dimensional stationary line to the requested tau.  Returns
-    None when the line is not one-dimensional, has no full-rank member, or
-    does not move tau.
+    along its one-dimensional stationary line to the requested tau; the line
+    moves tau (see `liouvillian_null_space`).  Returns None when the set is
+    not one-dimensional or has no full-rank member.
     """
     if sol["dimension"] != 1 or sol["full_rank_member"] is None:
         return None
     d = sol["basis"][0]
     tau_d = d[TAU_ENTRIES].sum()
-    if abs(tau_d) < 1e-8:
-        return None
     base = convert(sol["full_rank_member"]).as_vector()
     return assemble_matrices(base + (tau - base[TAU_ENTRIES].sum()) / tau_d * d)
 

@@ -1,6 +1,7 @@
 """Configuration ingestion, the four subcommands, CSV schema, exit codes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -134,6 +135,45 @@ def test_mixed_weights_must_sum_to_one():
                                  {"weight": 0.7, "werner": {"s": 0.2}}]}}
     with pytest.raises(ConfigError, match="sum"):
         parse_config(obj)
+
+
+def test_mixed_divides_by_total_weight(tmp_path, capsys):
+    # weights within 1e-9 of 1 pass; the mixture is scaled back to unit trace
+    obj = {"bath": {"lambda": [1, 0.5, 0.2], "B": [0, 0, 0.3]},
+           "initial": {"mixed": [{"weight": 1.0000000009, "werner": {"s": 0}}]}}
+    assert tau_of(build_initial(parse_config(obj))) == -3.0
+    assert cli.main(["steady", "--config", write_config(tmp_path, obj)]) == 0
+    assert json.loads(capsys.readouterr().out)["tau"] == -3.0
+
+
+NOT_A_STATE = {"pauli": {"r0i": [0, 0, 0.9], "ri0": [0, 0, 0.9],
+                         "rij": [[0] * 3] * 3}}
+
+
+@pytest.mark.parametrize("initial, message", [
+    # eigenvalue -1/4, tau = -6
+    ({"pauli": {"r0i": [0, 0, 0], "ri0": [0, 0, 0], "rij": (-2 * np.eye(3)).tolist()}},
+     r"initial\.pauli: not a state: negative eigenvalue -2\.500e-01"),
+    # tau = 0 but eigenvalue -0.2
+    (NOT_A_STATE, r"initial\.pauli: not a state: negative eigenvalue -2\.000e-01"),
+    # eigenvalue -2.5e-10 is within the state floor; tau = -3 - 3e-9 is not
+    ({"pauli": {"r0i": [0, 0, 0], "ri0": [0, 0, 0],
+                "rij": (-(1 + 1e-9) * np.eye(3)).tolist()}},
+     r"initial\.pauli\.rij: correlation trace -3\.000000003\d* outside \[-3, 1\]"),
+    ({"mixed": [{"weight": 0.5, "werner": {"s": 0}}, {"weight": 0.5, **NOT_A_STATE}]},
+     r"initial\.mixed\[1\]\.pauli: not a state"),
+], ids=["rij=-2I", "eigenvalue-0.2", "tau-below-3", "mixed-part"])
+def test_pauli_initial_must_be_a_state(tmp_path, capsys, initial, message):
+    cfg = write_config(tmp_path, {"bath": {"lambda": [1, 0.5, 0.2], "B": [0, 0, 0.3]},
+                                  "initial": initial})
+    for argv in (["steady"], ["evolve", "--out", str(tmp_path / "e.csv")],
+                 ["sweep", "--param", "B", "--values", "0.1",
+                  "--out", str(tmp_path / "s.csv")]):
+        assert cli.main([argv[0], "--config", cfg, *argv[1:]]) == 1
+        captured = capsys.readouterr()
+        assert re.search("config error: " + message, captured.err)
+        assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_nested_mixed_rejected():

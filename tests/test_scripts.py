@@ -76,6 +76,30 @@ def test_scripts_reject_bad_rates(tmp_path, capsys, script, lam, message):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("script,out,blocker", [
+    ("phase_diagram", "no/such/p.csv", None),
+    ("phase_diagram", "p.csv", "p_threshold.csv"),  # threshold path is a directory
+    ("werner_enhancement", "no/such/w.csv", None),
+    ("werner_enhancement", "w.csv", "w.csv"),
+], ids=["phase-missing-dir", "phase-threshold-is-dir", "werner-missing-dir",
+        "werner-out-is-dir"])
+def test_scripts_refuse_unwritable_out_before_work(tmp_path, capsys, monkeypatch,
+                                                   script, out, blocker):
+    if blocker is not None:
+        (tmp_path / blocker).mkdir()
+    module = load_script(script)
+
+    def no_work(*args):
+        raise AssertionError("work started before the output path was checked")
+
+    monkeypatch.setattr(module, "stationary_family", no_work)
+    with pytest.raises(SystemExit) as exc:
+        module.main(["--out", str(tmp_path / out)])
+    assert exc.value.code == 2
+    assert "cannot write output" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ([] if blocker is None else [blocker])
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 @pytest.mark.parametrize("script,flag", [("phase_diagram", "--tau-points"),
                                          ("phase_diagram", "--f-points"),

@@ -6,19 +6,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pairbath import steady_state
 from pairbath.bath import make_bath
 from pairbath.generator import evolve, rhs_equal_blocks
 from pairbath.pauli_algebra import (P_SINGLET, PauliCoefficients, Q_TRIPLET,
-                                    assemble_matrices, convert, tau_of)
+                                    TAU_ENTRIES, assemble_matrices, convert,
+                                    tau_of)
 from pairbath.steady_state import (ClosedFormNotApplicable, _line_search,
                                    asymptotic_state, commutant_check,
                                    equilibrium_components,
                                    liouvillian_null_space, stationary_family)
 
 from conftest import (oracle_rhs, oracle_superoperator, random_aligned_bath,
-                      random_offaxis_bath, random_state, trace_distance)
+                      random_offaxis_bath, random_rotation, random_state,
+                      trace_distance)
 
 MM = np.eye(4, dtype=complex) / 4
 
@@ -69,6 +72,16 @@ def test_family_boundary_warns():
     with pytest.warns(UserWarning, match="rank deficient"):
         fam = stationary_family(make_bath(np.diag([1.0, 1.0, 0.6]), [0, 0, 1.0]))
     assert np.linalg.eigvalsh(fam.rho0_hat).min() < 1e-12
+
+
+def test_family_boundary_past_tau_one_by_rounding():
+    # equal small transverse rates, b^2 a rounding above lam1 lam2: a valid
+    # bath whose reference state sits at tau = 2R just past 1
+    blk = make_bath(np.diag([0.01, 0.01, 0.5]), [0, 0, 0.01 * (1 + 5e-11)])
+    with pytest.warns(UserWarning, match="rank deficient"):
+        fam = stationary_family(blk)
+    assert 1 + 1e-12 < 2 * fam.R < 1 + 1e-9
+    assert abs(tau_of(fam.rho0_hat) - 2 * fam.R) < 1e-12
 
 
 def test_family_boundary_with_unequal_rates_is_full_rank():
@@ -246,6 +259,9 @@ def test_line_search_matches_one_probe_at_a_time(rng):
         return lambda t: np.linalg.eigvalsh(
             convert(PauliCoefficients.from_vector(vec + t * d))).min()
 
+    def min_eig(v):
+        return np.linalg.eigvalsh(assemble_matrices(v)).min()
+
     def pencil(vec, d):
         m0, md = assemble_matrices(vec), assemble_matrices(d) - MM
         return lambda t: np.linalg.eigvalsh(m0 + t * md).min()
@@ -255,8 +271,7 @@ def test_line_search_matches_one_probe_at_a_time(rng):
             got = _line_search(vec, d, lo, hi, iters)
             # the same maximum as the search over assembled probes
             t = _ternary_one_probe_at_a_time(assembled(vec, d), lo, hi, iters)
-            assert abs(steady_state._min_eig(got)
-                       - steady_state._min_eig(vec + t * d)) <= 1e-13
+            assert abs(min_eig(got) - min_eig(vec + t * d)) <= 1e-13
             # bit for bit the pencil probed one matrix at a time
             t = _ternary_one_probe_at_a_time(pencil(vec, d), lo, hi, iters)
             assert got.tobytes() == (vec + t * d).tobytes()
@@ -290,6 +305,25 @@ def test_nullspace_works_off_axis(rng):
     member = sol["full_rank_member"]
     assert member is not None
     assert np.abs(oracle_rhs(member, blk.A, blk.B)).max() < 1e-9
+
+
+@settings(max_examples=80, deadline=None)
+@given(arrays(float, 3, elements=st.floats(1e-4, 3.0)),
+       arrays(float, 3, elements=st.floats(-1.0, 1.0)), st.booleans(),
+       st.floats(0.0, 1.0 - 1e-6), st.integers(0, 2**32 - 1))
+def test_stationary_line_moves_tau(lam, direction, aligned, f, seed):
+    # tau is conserved and every tau in [-3, 1] has a stationary state, so a
+    # stationary line reaches both ends within state vectors of norm <=
+    # sqrt(3): a unit direction has |tau_d| >= 4 / (2 sqrt(3)) > 1
+    norm = np.linalg.norm(direction)
+    u = np.array([0.0, 0.0, 1.0]) if aligned or norm < 0.1 else direction / norm
+    # largest |B| along u keeping diag(lam) + i eps(B) positive semi-definite
+    b_max = np.sqrt(lam.prod() / (u ** 2 @ lam))
+    Q = random_rotation(np.random.default_rng(seed))
+    A = Q @ np.diag(lam) @ Q.T
+    sol = liouvillian_null_space(make_bath(0.5 * (A + A.T), Q @ (f * b_max * u)))
+    if sol["dimension"] == 1:
+        assert abs(sol["basis"][0][TAU_ENTRIES].sum()) >= 1
 
 
 def test_nullspace_dimension_matches_superoperator_kernel(rng):
