@@ -17,9 +17,8 @@ from .generator import (IntegrationAccuracyError, Trajectory,
                         compile_generator, diagonal_form_check, evolve,
                         rate_scale, rhs_components, rhs_equal_blocks,
                         rhs_general)
-from .pauli_algebra import (PauliCoefficients, build_basis,
-                            check_appendix_algebra, check_density_matrix,
-                            convert, levi_civita, tau_of)
+from .pauli_algebra import (PauliCoefficients, check_appendix_algebra,
+                            check_density_matrix, convert, levi_civita, tau_of)
 from .steady_state import (ClosedFormNotApplicable, EquilibriumState,
                            StationaryFamily, asymptotic_state, commutant_check,
                            equilibrium_components, liouvillian_null_space,
@@ -37,7 +36,7 @@ __all__ = [
     "IntegrationAccuracyError", "Trajectory", "compile_generator",
     "diagonal_form_check", "evolve", "rate_scale",
     "rhs_components", "rhs_equal_blocks", "rhs_general",
-    "PauliCoefficients", "build_basis", "check_appendix_algebra",
+    "PauliCoefficients", "check_appendix_algebra",
     "check_density_matrix", "convert", "levi_civita", "tau_of",
     "ClosedFormNotApplicable", "EquilibriumState", "StationaryFamily",
     "asymptotic_state", "commutant_check", "equilibrium_components",

@@ -2,8 +2,9 @@
 and the self-check suites.
 
 Exit codes: 0 ok, 1 configuration error or an output file that cannot be
-written, 2 integration accuracy failure, 3 closed form not applicable
-(without --numeric-only), 4 self-check failure.
+written, 2 a sampled state outside the positive cone (a generator that is
+not completely positive), 3 closed form not applicable (without
+--numeric-only), 4 self-check failure.
 """
 
 import argparse

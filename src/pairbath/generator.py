@@ -1,4 +1,4 @@
-"""The dissipative generator in its equivalent forms, plus time integration.
+"""The dissipative generator in its equivalent forms, plus exact propagation.
 
 Four representations of the same map are kept deliberately separate so they
 can cross-check each other: the matrix form over the collective operators,
@@ -11,6 +11,7 @@ parameters of C with a tensor built once, on first use, from 36 stacked
 evaluations of the general form, one per unit Hermitian matrix.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -244,24 +245,6 @@ def rate_scale(block):
     return max(lam_max, float(np.linalg.norm(block.B)), 1.0)
 
 
-def _rk4_step_matrix(L, c0, dt):
-    """One RK4 step of dc/dt = L c + c0 as a 16x16 matrix acting on [c, 1].
-
-    For an affine right-hand side the four RK4 stages collapse to the
-    degree-4 Taylor polynomial of the augmented generator G = [[L, c0], [0, 0]],
-    so applying this matrix is the same arithmetic as four RK4 stages.
-    """
-    G = np.zeros((16, 16))
-    G[:15, :15] = L
-    G[:15, 15] = c0
-    hG = dt * G
-    P = term = np.eye(16)
-    for k in range(1, 5):
-        term = term @ hG / k
-        P = P + term
-    return P
-
-
 def _stride_powers(stride, count):
     """The matrices stride^1 ... stride^count stacked as a (16 count, 16) array.
 
@@ -274,6 +257,38 @@ def _stride_powers(stride, count):
     for j in range(1, count):
         np.dot(stride, powers[j - 1], out=powers[j])
     return powers.reshape(16 * count, 16)
+
+
+# 1/k! at [j, i], k = 5j + i: exp(X) ~ sum_j X^5j sum_i _TAYLOR[j, i] X^i
+_TAYLOR = 1 / np.array([math.factorial(k) for k in range(20)], dtype=float).reshape(4, 5)
+
+
+def _step_matrix(L, c0, dt):
+    """exp(dt G), G = [[L, c0], [0, 0]]: the exact step of dc/dt = L c + c0
+    as a 16x16 matrix acting on [c, 1].
+
+    Scaling and squaring (Moler & Van Loan, SIAM Review 45, 3, 2003): the
+    degree-19 Taylor polynomial, truncation error below 1e-18, at X =
+    dt G / 2^s with the least s that brings the 1-norm of X to 1 or below,
+    squared s times.  Few squarings keep the rounding error small enough
+    for a thousand steps in one stride.  The polynomial is evaluated in
+    X^5 from X^1 ... X^5 (Paterson & Stockmeyer, SIAM J. Comput. 2, 60,
+    1973): seven matrix products.
+    """
+    G = np.zeros((16, 16))
+    G[:15] = np.column_stack((L, c0))
+    norm = dt * np.abs(G).sum(axis=0).max()
+    s = math.ceil(math.log2(norm)) if norm > 1 else 0
+    powers = _stride_powers(dt / 2 ** s * G, 5)
+    inner = _TAYLOR[:, 1:] @ powers[:64].reshape(4, 256)
+    inner[:, ::17] += _TAYLOR[:, :1]
+    inner = inner.reshape(4, 16, 16)
+    P = inner[3]
+    for j in (2, 1, 0):
+        P = inner[j] + powers[64:] @ P
+    for _ in range(s):
+        P = P @ P
+    return P
 
 
 def _check_samples(vectors, times):
@@ -295,35 +310,37 @@ def _check_samples(vectors, times):
         if low.size:
             k = low[0]
             raise IntegrationAccuracyError(
-                f"state eigenvalue {min_eig[k]:.3e} at t={times[k]:.6g}; reduce dt")
+                f"state eigenvalue {min_eig[k]:.3e} at t={times[k]:.6g}; "
+                "the generator is not completely positive")
     if n_ok < len(finite):
         raise IntegrationAccuracyError(
-            f"non-finite state coefficients at t={times[n_ok]:.6g}; reduce dt")
+            f"non-finite state coefficients at t={times[n_ok]:.6g}; "
+            "the generator is not completely positive")
 
 
 def evolve(initial, bath, t_end=None, dt=None, sample_every=10):
-    """Integrate the component equations with fixed-step fourth-order steps.
+    """Propagate the component equations exactly, sampled on a grid of dt.
 
     `bath` is a `KossakowskiBlock` or a 6x6 coefficient matrix, checked as
     `rhs_general` checks it.  For a block, dt = 0.01 / rate_scale and t_end =
     50 / rate_scale by default, so the horizon and resolution follow the
-    fastest rate in the block; a matrix needs both given.  Samples are taken
-    every `sample_every` steps plus the final time.  The generator is
-    compiled once and RK4 is applied as one 16x16 step matrix; the stride
-    between samples is its `sample_every`-th power, so positivity is checked
-    at the sampled states.  From the powers stride^1 ... stride^STRIDE_BLOCK
-    each block of STRIDE_BLOCK samples is one product with the last state
-    of the block before.  All samples are propagated first, then checked
-    in batches of RECORD_CHUNK, each cleared by one Cholesky factorization
-    when every sample in it is a state: the first sampled state, in time
-    order, with a non-finite coefficient or an eigenvalue below
-    STATE_EIG_FLOOR (-1e-8) aborts with a suggestion to reduce dt.  The
-    returned `Trajectory` computes its per-sample observables only when one
-    is read, and Wootters' concurrence only on samples with a negative
-    partial-transpose eigenvalue (0.0 on the others).  The trace is
-    structurally conserved by the component representation; trace_err
-    reports the reconstruction deviation as an integrator-health
-    diagnostic.
+    fastest rate in the block; a matrix needs both given.  The step is the
+    exact propagator `_step_matrix`, so dt has no stability limit and only
+    sets the grid: samples are dt * sample_every apart, plus the final time.
+    The stride between samples is the `sample_every`-th power of the step;
+    from its powers stride^1 ... stride^STRIDE_BLOCK each block of
+    STRIDE_BLOCK samples is one product with the last state of the block
+    before.  All samples are propagated first, then checked in batches of
+    RECORD_CHUNK, each cleared by one Cholesky factorization when every
+    sample in it is a state: the first sampled state, in time order, with
+    a non-finite coefficient or an eigenvalue below STATE_EIG_FLOOR (-1e-8)
+    raises IntegrationAccuracyError, which only a generator that is not
+    completely positive can cause.  The returned `Trajectory` computes its
+    per-sample observables only when one is read, and Wootters' concurrence
+    only on samples with a negative partial-transpose eigenvalue (0.0 on
+    the others).  The trace is structurally conserved by the component
+    representation; trace_err reports the reconstruction deviation as an
+    integrator-health diagnostic.
     """
     if isinstance(bath, KossakowskiBlock):
         scale = rate_scale(bath)
@@ -346,11 +363,11 @@ def evolve(initial, bath, t_end=None, dt=None, sample_every=10):
     times = np.arange(n_strides + 1) * sample_every * dt
     if rest:
         times = np.append(times, n_steps * dt)
-    step = _rk4_step_matrix(*compile_generator(C), dt)
     Y = np.empty((len(times), 16))
     Y[0] = np.append(initial.as_vector(), 1.0)
-    # an unstable step overflows; _check_samples reports it as non-finite
+    # a generator that is not completely positive can overflow: see _check_samples
     with np.errstate(over="ignore", invalid="ignore"):
+        step = _step_matrix(*compile_generator(C), dt)
         powers = _stride_powers(np.linalg.matrix_power(step, sample_every),
                                 min(STRIDE_BLOCK, n_strides))
         for k in range(0, n_strides, STRIDE_BLOCK):

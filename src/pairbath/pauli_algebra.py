@@ -51,26 +51,6 @@ EXPANSION = np.array([np.kron(IDENT2, s) for s in SIGMA]
 # entries of a coefficient vector that sum to tau (the diagonal of rij)
 TAU_ENTRIES = [6, 10, 14]
 
-_BASIS = {
-    "sigma": SIGMA,
-    "Sigma": BIG_SIGMA,
-    "S_ops": S_OPS,
-    "S_total": S_TOTAL,
-    "P": P_SINGLET,
-    "Q": Q_TRIPLET,
-}
-
-
-def build_basis():
-    """Return the fixed operator basis as a dict.
-
-    Keys: sigma (three 2x2 Pauli matrices), Sigma (collective one-qubit
-    operators), S_ops (3x3 symmetric table of two-qubit symmetrized products),
-    S_total, P (singlet projector), Q (its complement).  The arrays are shared
-    module constants; treat them as read-only.
-    """
-    return _BASIS
-
 
 @dataclass
 class PauliCoefficients:

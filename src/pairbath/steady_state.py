@@ -181,6 +181,11 @@ def _line_search(vec, direction, lo, hi, iters=200):
     return vec + t * direction
 
 
+def _tau_step(point, d, tau):
+    """The t at which point + t d has correlation trace tau; d moves it."""
+    return (tau - point[TAU_ENTRIES].sum()) / d[TAU_ENTRIES].sum()
+
+
 def liouvillian_null_space(block, rank_tol=1e-10):
     """Numerical oracle for the stationary set of a block.
 
@@ -214,9 +219,7 @@ def liouvillian_null_space(block, rank_tol=1e-10):
         # tau is conserved and every tau in [-3, 1] has a stationary state,
         # so the line moves tau: parametrize by it and scan its range
         d = null_dirs[0]
-        tau_d = d[TAU_ENTRIES].sum()
-        tau_p = particular[TAU_ENTRIES].sum()
-        lo, hi = (-3.0 - tau_p) / tau_d, (1.0 - tau_p) / tau_d
+        lo, hi = _tau_step(particular, d, -3.0), _tau_step(particular, d, 1.0)
         member = _line_search(particular, d, min(lo, hi), max(lo, hi))
     elif len(null_dirs) > 1:
         for _ in range(4):
@@ -241,9 +244,8 @@ def stationary_member(sol, tau):
     if sol["dimension"] != 1 or sol["full_rank_member"] is None:
         return None
     d = sol["basis"][0]
-    tau_d = d[TAU_ENTRIES].sum()
     base = convert(sol["full_rank_member"]).as_vector()
-    return assemble_matrices(base + (tau - base[TAU_ENTRIES].sum()) / tau_d * d)
+    return assemble_matrices(base + _tau_step(base, d, tau) * d)
 
 
 def commutant_check(block):

@@ -2,18 +2,18 @@
 
 Everything in here is written from the defining equations without importing
 the production formulas: 16x16 superoperators, for a common bath and for
-any 6x6 coefficient matrix, integrated by matrix exponential stand against
-the production RK4 component integrator, a stepwise RK4 step stands against
-its compiled step matrix, and an exact X-state concurrence stands against
-the singular-value route.  Only `make_bath` is borrowed, as the container
-the API under test expects.
+any 6x6 coefficient matrix, propagated by scipy's matrix exponential stand
+against the production propagator, the numpy exponential of the compiled
+15-coefficient generator, and an exact X-state concurrence stands against
+the singular-value route.  Only `make_bath` and `KossakowskiBlock` are
+borrowed, as the container the API under test expects.
 """
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from pairbath.bath import make_bath
+from pairbath.bath import KossakowskiBlock, make_bath
 from pairbath.steady_state import stationary_family as _stationary_family
 
 # ---------------------------------------------------------------- operators
@@ -41,6 +41,16 @@ def kossakowski_matrix(A, B):
         for j in range(3):
             K[i, j] += 1j * sum(_EPS[i, j, k] * B[k] for k in range(3))
     return K
+
+
+def non_cp_block(A, B):
+    """A bath block whose Hermitian matrix may have negative eigenvalues,
+    built directly, since `make_bath` rejects it: a generator that is not
+    completely positive, which can drive a state out of the positive cone."""
+    herm = kossakowski_matrix(A, B)
+    return KossakowskiBlock(A=np.asarray(A, dtype=float), B=np.asarray(B, dtype=float),
+                            herm=herm, eigs=np.linalg.eigvalsh(herm),
+                            A_tr=float(np.trace(A).real), boundary=False)
 
 
 def oracle_superoperator(A, B):
@@ -74,18 +84,11 @@ def oracle_general_superoperator(C):
 
 
 def oracle_general_propagate(rho0, C, t):
-    """Exact-in-time propagation under a 6x6 coefficient matrix."""
-    return (scipy.linalg.expm(oracle_general_superoperator(C) * t)
-            @ np.asarray(rho0, dtype=complex).ravel()).reshape(4, 4)
-
-
-def rk4_step(x, dt, deriv):
-    """One classical fourth-order Runge-Kutta step of dx/dt = deriv(x)."""
-    k1 = deriv(x)
-    k2 = deriv(x + 0.5 * dt * k1)
-    k3 = deriv(x + 0.5 * dt * k2)
-    k4 = deriv(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    """Exact-in-time propagation under a 6x6 coefficient matrix, at one time
+    or at each of an array of times (one 4x4 state per time)."""
+    gen = np.multiply.outer(t, oracle_general_superoperator(C))
+    return (scipy.linalg.expm(gen) @ np.asarray(rho0, dtype=complex).ravel()
+            ).reshape(np.shape(t) + (4, 4))
 
 
 def oracle_propagate(rho0, A, B, t):

@@ -14,11 +14,11 @@ from pairbath.config import (ConfigError, build_block, build_initial,
                              load_config, parse_config, run_seed, serialize,
                              werner_state)
 from pairbath.entanglement import concurrence_closed
-from pairbath.generator import evolve, rhs_components
-from pairbath.pauli_algebra import PauliCoefficients, convert, tau_of
+from pairbath.generator import evolve
+from pairbath.pauli_algebra import PauliCoefficients, tau_of
 from pairbath.steady_state import stationary_family
 
-from conftest import rk4_step
+from conftest import EYE2, PAULI, non_cp_block, oracle_propagate
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -326,49 +326,50 @@ def test_evolve_out_is_directory_exit_1(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
-def test_evolve_unstable_exit_2(tmp_path, capsys):
-    # dt * rate far beyond the RK4 stability bound, from a non-stationary
-    # start (a werner state would sit exactly on a fixed point here)
+def test_evolve_integration_failure_exit_2(tmp_path, capsys, monkeypatch):
+    # a valid config cannot fail positivity, since the step is exact and
+    # make_bath admits only completely positive generators; run the real
+    # propagation on a block that is not, and nothing is written
+    bad = non_cp_block(np.eye(3), [0.0, 0.0, 1.02])
+    monkeypatch.setattr(cli, "evolve",
+                        lambda initial, block, **kwargs: evolve(initial, bad, **kwargs))
+    zero = [0.0, 0.0, 0.0]
     cfg = write_config(tmp_path, {
-        "bath": {"lambda": [5, 5, 5], "B": [0, 0, 0]},
-        "initial": {"product": {"phi": [1, 0], "psi": [0, 1]}},
-        "integrator": {"t_end": 45.0, "dt": 0.9}})
-    assert cli.main(["evolve", "--config", cfg,
-                     "--out", str(tmp_path / "x.csv")]) == 2
-    assert "reduce dt" in capsys.readouterr().err
-
-
-def test_evolve_overflow_exit_2(tmp_path, capsys):
-    # a thousand unstable steps in one stride overflow the coefficients
-    cfg = write_config(tmp_path, {
-        "bath": {"lambda": [5, 5, 5], "B": [0, 0, 0]},
-        "initial": {"product": {"phi": [1, 0], "psi": [0, 1]}},
-        "integrator": {"t_end": 900.0, "dt": 0.9, "sample_every": 10 ** 6}})
-    assert cli.main(["evolve", "--config", cfg,
-                     "--out", str(tmp_path / "x.csv")]) == 2
+        **BASE, "initial": {"pauli": {"r0i": zero, "ri0": zero, "rij": [zero] * 3}},
+        "integrator": {"t_end": 2.0, "dt": 0.01}})
+    out = tmp_path / "x.csv"
+    assert cli.main(["evolve", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "non-finite" in err and "reduce dt" in err
+    assert re.fullmatch(r"integration failure: state eigenvalue -\S+ at t=0\.7; "
+                        r"the generator is not completely positive\n", err), err
+    assert not out.exists()
 
 
-def test_evolve_eigenvalue_below_concurrence_floor_exit_2(tmp_path, capsys):
-    # the one step ends at a smallest eigenvalue of -3.0e-8: inside
-    # [-1e-7, -1e-8), below the floor concurrence accepts, so evolve must
-    # reject the sample itself (exit 2) before concurrence raises
-    dt = 0.2659789872172378
+@pytest.mark.parametrize("t_end,sample_every", [(45.0, 10), (900.0, 10 ** 6)])
+def test_evolve_large_dt_is_exact(tmp_path, t_end, sample_every):
+    # dt * rate = 4.5: far past the stability bound of an explicit
+    # integrator, while the exact step has none.  Both horizons end at the
+    # equilibrium of |01>, half singlet and half the uniform triplet
+    # mixture, which the expm oracle confirms at t = 45 (at t = 900 its
+    # own rounding reaches 2.5e-12)
+    A, B = 5.0 * np.eye(3), np.zeros(3)
     cfg = write_config(tmp_path, {
-        "bath": {"lambda": [1.0, 0.5, 0.2], "B": [0, 0, 0.3]},
-        "initial": {"pauli": {"r0i": [0, 0, -1], "ri0": [0, 0, 1],
-                              "rij": [[0, 0, 0], [0, 0, 0], [0, 0, -1]]}},
-        "integrator": {"dt": dt, "t_end": dt, "sample_every": 1}})
-    assert cli.main(["evolve", "--config", cfg,
-                     "--out", str(tmp_path / "x.csv")]) == 2
-    assert "reduce dt" in capsys.readouterr().err
-    cfgp = load_config(cfg)
-    block = build_block(cfgp)
-    x = rk4_step(build_initial(cfgp).as_vector(), dt, lambda v: rhs_components(
-        PauliCoefficients.from_vector(v), block).as_vector())
-    min_eig = np.linalg.eigvalsh(convert(PauliCoefficients.from_vector(x))).min()
-    assert -1e-7 <= min_eig < -1e-8
+        "bath": {"lambda": [5, 5, 5], "B": [0, 0, 0]},
+        "initial": {"product": {"phi": [1, 0], "psi": [0, 1]}},
+        "integrator": {"t_end": t_end, "dt": 0.9, "sample_every": sample_every}})
+    out = tmp_path / "x.csv"
+    assert cli.main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    assert rows[-1][0] == t_end
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)
+    p_singlet = np.outer(singlet, singlet)
+    rho_eq = (p_singlet + (np.eye(4) - p_singlet) / 3) / 2
+    rho0 = np.diag([0.0, 1.0, 0.0, 0.0])
+    assert np.abs(oracle_propagate(rho0, A, B, 45.0) - rho_eq).max() <= 1e-12
+    paulis = [EYE2] + PAULI
+    expected = [np.trace(rho_eq @ np.kron(paulis[int(c[1])], paulis[int(c[2])])).real
+                for c in header[5:]]
+    assert np.abs(np.array(rows[-1][5:]) - expected).max() <= 1e-12
 
 
 def test_evolve_csv_text_is_the_template_text(tmp_path, monkeypatch):

@@ -1,4 +1,4 @@
-"""Generator forms, conservation laws, and the fixed-step integrator."""
+"""Generator forms, conservation laws, and the exact propagator."""
 
 import math
 import re
@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pairbath.bath import assemble_full_C, make_bath
-from pairbath.config import product_state, werner_state
+from pairbath.config import product_state
 from pairbath.entanglement import (concurrence, generation_test,
                                    partial_transpose)
 from pairbath.generator import (_F_OPS, _THETA, RECORD_CHUNK, STRIDE_BLOCK,
                                 IntegrationAccuracyError, _check_samples,
                                 _generator_tensor, _lindblad_sum,
-                                _rk4_step_matrix, compile_generator,
+                                _step_matrix, compile_generator,
                                 diagonal_form_check, evolve, rate_scale,
                                 rhs_components, rhs_equal_blocks, rhs_general)
 from pairbath.pauli_algebra import (EXPANSION, IDENT2, P_SINGLET, SIGMA,
@@ -24,9 +24,10 @@ from pairbath.pauli_algebra import (EXPANSION, IDENT2, P_SINGLET, SIGMA,
                                     assemble_matrices, convert, tau_of)
 from pairbath.selfcheck import random_block
 
-from conftest import (oracle_general_propagate, oracle_propagate, oracle_rhs,
-                      random_aligned_bath, random_ket, random_offaxis_bath,
-                      random_psd_C, random_state, rk4_step, trace_distance)
+from conftest import (non_cp_block, oracle_general_propagate, oracle_propagate,
+                      oracle_rhs, random_aligned_bath, random_ket,
+                      random_offaxis_bath, random_psd_C, random_state,
+                      trace_distance)
 
 
 def _components_as_matrix(coeffs, block):
@@ -96,32 +97,42 @@ def test_evolve_sampling_grid(rng):
     assert np.isclose(tr2.times[-1], 1.0)
 
 
-def _stepwise_rk4(initial, block, n_steps, dt, sample_every):
-    """Reference integrator: four rhs_components calls per RK4 step."""
-    def deriv(v):
-        return rhs_components(PauliCoefficients.from_vector(v), block).as_vector()
-
-    x = initial.as_vector()
-    times, samples = [0.0], [x]
-    for step in range(1, n_steps + 1):
-        x = rk4_step(x, dt, deriv)
-        if step % sample_every == 0 or step == n_steps:
-            times.append(step * dt)
-            samples.append(x)
-    return np.array(times), np.array(samples)
-
-
 @pytest.mark.parametrize("sample_every", [1, 7, 100, 10 ** 6])
-def test_evolve_matches_stepwise_rk4(rng, sample_every):
+def test_evolve_samples_match_expm_oracle(rng, sample_every):
     # 703 steps: neither 7 nor 100 divides it, so the last stride is partial
     dt, n_steps = 0.01, 703
     for blk in (random_aligned_bath(rng), random_offaxis_bath(rng)):
-        initial = convert(random_state(rng))
-        tr = evolve(initial, blk, t_end=n_steps * dt, dt=dt,
+        rho0 = random_state(rng)
+        tr = evolve(convert(rho0), blk, t_end=n_steps * dt, dt=dt,
                     sample_every=sample_every)
-        times, samples = _stepwise_rk4(initial, blk, n_steps, dt, sample_every)
-        assert np.array_equal(tr.times, times)
-        assert np.abs(tr.coeffs - samples).max() <= 1e-12
+        steps = list(range(0, n_steps + 1, sample_every))
+        if steps[-1] != n_steps:
+            steps.append(n_steps)
+        assert np.array_equal(tr.times, np.array(steps) * dt)
+        expected = [convert(rho).as_vector() for rho in
+                    oracle_general_propagate(rho0, assemble_full_C(blk), tr.times)]
+        assert np.abs(tr.coeffs - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("lam,B", [
+    # the rates of a benchmark sweep bath (seed 1903), B on the second axis
+    ((0.1053, 2.9059, 0.1245), (0.0, 0.082, 0.0)),
+    # f = 0.99 at a 2000-fold spread of rates
+    ((20.0, 0.5, 0.01), (0.0, 0.0, 0.99 * np.sqrt(10.0))),
+], ids=["seed1903_rates", "rate_spread_2000"])
+def test_default_evolve_is_exact_at_every_sample(rng, lam, B):
+    # a fourth-order Taylor step at the default dt misses these samples by
+    # up to 6e-8; the exact step keeps all 5001 within 1e-12
+    blk = make_bath(np.diag(lam), B)
+    rho0 = random_state(rng)
+    tr = evolve(convert(rho0), blk, sample_every=1)
+    assert np.array_equal(tr.times, np.arange(5001) * (0.01 / rate_scale(blk)))
+    C = assemble_full_C(blk)
+    # in ten parts, so the stack of exponentials stays small
+    expected = np.concatenate([oracle_general_propagate(rho0, C, t)
+                               for t in np.array_split(tr.times, 10)])
+    expected = np.einsum("nij,kji->nk", expected, EXPANSION).real
+    assert np.abs(tr.coeffs - expected).max() <= 1e-12
 
 
 @pytest.mark.parametrize("sample_every", [1, 7])
@@ -168,7 +179,7 @@ def test_blocked_strides_match_sequential_products(rng, n_steps, sample_every):
             assert n_strides % STRIDE_BLOCK
             initial = convert(random_state(rng))
             tr = evolve(initial, blk, t_end=n * dt, dt=dt, sample_every=every)
-            step = _rk4_step_matrix(*compile_generator(assemble_full_C(blk)), dt)
+            step = _step_matrix(*compile_generator(assemble_full_C(blk)), dt)
             stride = np.linalg.matrix_power(step, every)
             y = np.append(initial.as_vector(), 1.0)
             expected = [y]
@@ -231,28 +242,39 @@ def test_positivity_screen_passes_rounding_and_finds_failures(rng, monkeypatch):
     assert first == 3
     with pytest.raises(IntegrationAccuracyError,
                        match=re.escape(f"state eigenvalue {min_eig[first]:.3e} "
-                                       f"at t={times[first]:.6g}; reduce dt")):
+                                       f"at t={times[first]:.6g}; the generator "
+                                       "is not completely positive")):
+        _check_samples(vectors, times)
+
+    # non-finite samples fail too, in the same time order: one after the
+    # first low eigenvalue leaves that reported, one before it is reported
+    vectors[4, 7] = np.inf
+    with pytest.raises(IntegrationAccuracyError, match="state eigenvalue .* at t=1.5;"):
+        _check_samples(vectors, times)
+    vectors[1, 0] = np.nan
+    with pytest.raises(IntegrationAccuracyError,
+                       match=re.escape("non-finite state coefficients at t=0.5; "
+                                       "the generator is not completely positive")):
         _check_samples(vectors, times)
 
 
 def test_first_failure_past_a_chunk_boundary_is_reported():
-    # a stationary werner state, nudged off its fixed point, under a step
-    # just past RK4's stability bound for the rate-12 modes: the nudge grows
-    # by about 2 % per step and leaves the positive cone after a few hundred
-    blk = make_bath(np.eye(3), np.zeros(3))
-    w = werner_state(0.5)
-    rij = w.rij.copy()
-    rij[0, 1] += 1e-6
-    start = PauliCoefficients(w.r0i + 1e-6, w.ri0 - 1e-6, rij)
-    dt, n_steps = 0.2345, 400
-    times, samples = _stepwise_rk4(start, blk, n_steps, dt, 1)
-    min_eig = np.array([np.linalg.eigvalsh(convert(PauliCoefficients.from_vector(x))).min()
-                        for x in samples])
+    # A = 1, B = (0, 0, 1.02): the bath matrix has eigenvalue -0.02, so the
+    # generator is not completely positive and drives the maximally mixed
+    # state out of the positive cone at t ~ 0.665, a few hundred samples in
+    blk = non_cp_block(np.eye(3), [0.0, 0.0, 1.02])
+    assert blk.eigs[0] < 0
+    rho0 = np.eye(4) / 4
+    dt, n_steps = 0.002, 400
+    times = np.arange(n_steps + 1) * dt
+    min_eig = np.array([np.linalg.eigvalsh(oracle_propagate(rho0, blk.A, blk.B, t)).min()
+                        for t in times])
     first = int(np.flatnonzero(min_eig < -1e-8)[0])
     assert first > RECORD_CHUNK and min_eig[first - 1] > 0
     with pytest.raises(IntegrationAccuracyError,
-                       match=re.escape(f"at t={times[first]:.6g}; reduce dt")):
-        evolve(start, blk, t_end=n_steps * dt, dt=dt, sample_every=1)
+                       match=re.escape(f"at t={times[first]:.6g}; the generator "
+                                       "is not completely positive")):
+        evolve(convert(rho0), blk, t_end=n_steps * dt, dt=dt, sample_every=1)
 
 
 def test_evolve_compiles_generator_once(rng, monkeypatch):
@@ -418,10 +440,17 @@ def test_evolve_rejects_bad_grid(rng):
 
 
 def test_unstable_step_raises(rng):
-    # a step far beyond the stability region destroys positivity quickly
-    blk = make_bath(np.diag([5.0, 5.0, 5.0]), np.zeros(3))
-    with pytest.raises(IntegrationAccuracyError, match="reduce dt"):
-        evolve(convert(random_state(rng)), blk, t_end=45.0, dt=0.9)
+    # only a generator that is not completely positive leaves the positive
+    # cone; one that grows fast enough overflows, which is reported as a
+    # non-finite sample and not as a floating-point warning
+    with pytest.raises(IntegrationAccuracyError,
+                       match="state eigenvalue .* not completely positive"):
+        evolve(convert(random_state(rng)), non_cp_block(np.eye(3), [0.0, 0.0, 1.02]),
+               t_end=45.0, dt=0.9)
+    with pytest.raises(IntegrationAccuracyError,
+                       match="non-finite .* not completely positive"):
+        evolve(convert(random_state(rng)), non_cp_block(np.eye(3), [0.0, 0.0, 1e3]),
+               t_end=100.0, dt=0.01, sample_every=10 ** 6)
 
 
 def test_tau_conserved_along_trajectories(rng):

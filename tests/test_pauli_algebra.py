@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pairbath.pauli_algebra import (IDENT4, P_SINGLET, PauliCoefficients,
-                                    Q_TRIPLET, S_TOTAL, assemble_matrices,
-                                    build_basis,
+from pairbath.pauli_algebra import (BIG_SIGMA, IDENT4, P_SINGLET, S_OPS,
+                                    SIGMA, PauliCoefficients, Q_TRIPLET,
+                                    S_TOTAL, assemble_matrices,
                                     check_appendix_algebra,
                                     check_density_matrix, convert,
                                     levi_civita, tau_of)
@@ -19,20 +19,20 @@ SINGLET = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 
 
 def test_basis_contents():
-    basis = build_basis()
-    assert set(basis) == {"sigma", "Sigma", "S_ops", "S_total", "P", "Q"}
-    for k, s in enumerate(basis["sigma"]):
+    for k, s in enumerate(SIGMA):
         assert np.allclose(s, PAULI[k])
         assert np.allclose(s @ s, np.eye(2))
     for k in range(3):
-        assert np.allclose(basis["Sigma"][k], COLLECTIVE[k])
+        assert np.allclose(BIG_SIGMA[k], COLLECTIVE[k])
     for i in range(3):
         for j in range(3):
             expect = (np.kron(PAULI[i], PAULI[j]) + np.kron(PAULI[j], PAULI[i]))
-            assert np.allclose(basis["S_ops"][i][j], expect)
-            assert np.allclose(basis["S_ops"][i][j], basis["S_ops"][j][i])
-    assert np.allclose(basis["S_total"],
-                       sum(basis["S_ops"][i][i] for i in range(3)))
+            assert np.allclose(S_OPS[i][j], expect)
+            assert np.allclose(S_OPS[i][j], S_OPS[j][i])
+    assert np.allclose(S_TOTAL, sum(S_OPS[i][i] for i in range(3)))
+    # the singlet projector and its complement, from the singlet ket
+    assert np.allclose(P_SINGLET, np.outer(SINGLET, SINGLET.conj()))
+    assert np.allclose(Q_TRIPLET, np.eye(4) - np.outer(SINGLET, SINGLET.conj()))
 
 
 def test_projectors():
