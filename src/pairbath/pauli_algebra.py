@@ -5,7 +5,10 @@ Every density matrix of two qubits is written as
     rho = 1/4 [ 1x1 + sum_i r0i[i] (1 x sigma_i) + sum_i ri0[i] (sigma_i x 1)
                 + sum_ij rij[i,j] (sigma_i x sigma_j) ]
 
-with 15 real coefficients.  The collective operators
+with 15 real coefficients.  The expansion is one linear map, kept as one
+real table, `EXPANSION_REAL`: `assemble_matrices` multiplies coefficient
+vectors by it and `project_matrices` multiplies Hermitian matrices by its
+transpose.  The collective operators
 
     Sigma_i = sigma_i x 1 + 1 x sigma_i
     S_ij    = sigma_i x sigma_j + sigma_j x sigma_i,   S = sum_i S_ii
@@ -44,10 +47,16 @@ P_SINGLET = (IDENT4 - S_TOTAL / 2) / 4
 Q_TRIPLET = IDENT4 - P_SINGLET
 
 # expansion operators in `PauliCoefficients.as_vector` order (1 x sigma_i,
-# sigma_i x 1, sigma_i x sigma_j), used by `convert` in both directions
+# sigma_i x 1, sigma_i x sigma_j), and the same table as real (15, 32) rows,
+# real and imaginary parts interleaved; its rows are orthogonal,
+# EXPANSION_REAL @ EXPANSION_REAL.T = 4 I exactly
 EXPANSION = np.array([np.kron(IDENT2, s) for s in SIGMA]
                      + [np.kron(s, IDENT2) for s in SIGMA]
                      + [np.kron(a, b) for a in SIGMA for b in SIGMA])
+EXPANSION.flags.writeable = False
+EXPANSION_REAL = EXPANSION.view(float).reshape(15, 32)
+_PROJECTION = EXPANSION_REAL.T.copy()
+_PROJECTION.flags.writeable = False
 # entries of a coefficient vector that sum to tau (the diagonal of rij)
 TAU_ENTRIES = [6, 10, 14]
 
@@ -69,9 +78,6 @@ class PauliCoefficients:
         self.ri0 = np.asarray(self.ri0, dtype=float).reshape(3)
         self.rij = np.asarray(self.rij, dtype=float).reshape(3, 3)
 
-    def copy(self):
-        return PauliCoefficients(self.r0i.copy(), self.ri0.copy(), self.rij.copy())
-
     def as_vector(self):
         """Flatten to the canonical 15-vector order [r0i, ri0, rij.ravel()]."""
         return np.concatenate([self.r0i, self.ri0, self.rij.ravel()])
@@ -86,74 +92,37 @@ class PauliCoefficients:
         return cls(np.zeros(3), np.zeros(3), np.zeros((3, 3)))
 
 
-def _gather_table():
-    # For each slot, entry and part (real, imaginary) of a flattened 4x4
-    # matrix, the index into the extended vector of `assemble_matrices`.
-    # Slot 0 is the identity's 1 or a 0; slots 1 and 2 are the at most two
-    # terms the expansion puts there, in the order `EXPANSION` is walked
-    # (pair (1 x sigma_i, sigma_i x 1) first, then sigma_i x sigma_j).  The
-    # sigma_z pair meets on the diagonal and enters as its one pre-summed
-    # value; every other term is +c_k or -c_k.
-    parts = np.stack([EXPANSION.real, EXPANSION.imag], axis=-1).reshape(15, 16, 2)
-    groups = [g for i in range(3)
-              for g in ((i, 3 + i), (6 + 3 * i,), (7 + 3 * i,), (8 + 3 * i,))]
-    table = np.full((3, 16, 2), _EXT_ZERO)
-    table[0, ::5, 0] = _EXT_ONE
-    for e, p in np.ndindex(16, 2):
-        terms = []
-        for group in groups:
-            ks = [k for k in group if parts[k, e, p]]
-            if len(ks) == 2:
-                terms.append(_EXT_ZPAIR + e // 5)
-            elif ks:
-                terms.append(ks[0] if parts[ks[0], e, p] > 0 else 15 + ks[0])
-        table[1:1 + len(terms), e, p] = terms
-    return table
-
-
-# extended vector [c, -c, sigma_z pair sums on the diagonal, 1, 0]
-_EXT_ZPAIR, _EXT_ONE, _EXT_ZERO = 30, 34, 35
-_ZPAIR_SIGNS = EXPANSION[[2, 5]].diagonal(axis1=1, axis2=2).real
-_GATHER = _gather_table()
-
-
 def assemble_matrices(vectors):
     """Density matrices of coefficient vectors: shape (..., 15) -> (..., 4, 4).
 
-    The vectors are in `PauliCoefficients.as_vector` order.  Each part of
-    each entry is gathered and added in one fixed order whatever the stack
-    shape, so on finite input this is bit for bit the term-by-term sum of
-    `EXPANSION` (identity, then for each i the pair c_i (1 x sigma_i) +
-    c_{3+i} (sigma_i x 1), then the three sigma_i x sigma_j terms), and a
-    stack gives the matrices of its rows assembled one at a time.  A
-    non-finite coefficient reaches only the entries it enters, where the
-    term-by-term sum spread it to all 16 through inf * 0.
+    The vectors are in `PauliCoefficients.as_vector` order; the matrices are
+    (1 + v @ EXPANSION_REAL) / 4 viewed as complex.
     """
     v = np.asarray(vectors, dtype=float)
-    lead = v.shape[:-1]
-    ext = np.empty(lead + (36,))
-    ext[..., :15] = v
-    np.negative(v, out=ext[..., 15:30])
-    zpair = ext[..., _EXT_ZPAIR:_EXT_ONE]
-    np.multiply(v[..., 2:3], _ZPAIR_SIGNS[0], out=zpair)
-    zpair += v[..., 5:6] * _ZPAIR_SIGNS[1]
-    ext[..., _EXT_ONE] = 1.0
-    ext[..., _EXT_ZERO] = 0.0
-    # the gather puts the stack axes innermost in memory; summing into a
-    # C-ordered array makes the complex view below valid
-    terms = ext[..., _GATHER]
-    mat = np.add(terms[..., 0, :, :], terms[..., 1, :, :], out=np.empty(lead + (16, 2)))
-    mat += terms[..., 2, :, :]
+    mat = v @ EXPANSION_REAL
+    mat[..., ::10] += 1.0  # the real parts of diagonal entries 0, 5, 10, 15
     mat *= 0.25
-    return mat.view(complex).reshape(lead + (4, 4))
+    return mat.view(complex).reshape(v.shape[:-1] + (4, 4))
+
+
+def project_matrices(mats):
+    """Coefficient vectors of Hermitian matrices: shape (..., 4, 4) -> (..., 15).
+
+    Re Tr(E_k rho) is the dot product of the real views of E_k and rho when
+    rho is Hermitian, so the projection is the real view of the stack times
+    EXPANSION_REAL.T.  That transpose is kept C-ordered: BLAS then projects
+    each matrix of a stack bit for bit as it projects the matrix alone.
+    """
+    m = np.ascontiguousarray(mats, dtype=complex)
+    return m.view(float).reshape(m.shape[:-2] + (32,)) @ _PROJECTION
 
 
 def convert(state):
     """Convert between PauliCoefficients and the 4x4 density-matrix form.
 
-    Coefficients -> matrix assembles the expansion verbatim.  Matrix ->
-    coefficients projects with traces, taking real parts (the input is assumed
-    Hermitian); a non-unit trace is reported as a warning, never renormalized.
+    Coefficients -> matrix is `assemble_matrices`.  Matrix -> coefficients
+    is `project_matrices`, which assumes a Hermitian input; a non-unit
+    trace is reported as a warning, never renormalized.
     """
     if isinstance(state, PauliCoefficients):
         return assemble_matrices(state.as_vector())
@@ -162,16 +131,14 @@ def convert(state):
     if abs(tr - 1.0) > 1e-12:
         warnings.warn(f"matrix trace is {tr!r}, not 1; coefficients kept unscaled",
                       stacklevel=2)
-    return PauliCoefficients.from_vector(
-        np.trace(mat @ EXPANSION, axis1=1, axis2=2).real)
+    return PauliCoefficients.from_vector(project_matrices(mat))
 
 
 def tau_of(state):
     """Trace of the correlation block; equals 1 - 4 Tr[P rho]."""
     if isinstance(state, PauliCoefficients):
         return float(np.trace(state.rij))
-    mat = np.asarray(state, dtype=complex)
-    return float(sum(np.trace(mat @ EXPANSION[TAU_ENTRIES], axis1=1, axis2=2).real))
+    return float(project_matrices(state)[TAU_ENTRIES].sum())
 
 
 def check_density_matrix(mat, herm_tol=1e-12, trace_tol=1e-12, psd_floor=-1e-10):

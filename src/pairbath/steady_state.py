@@ -17,7 +17,8 @@ import numpy as np
 from .bath import assemble_full_C, herm_rank, principal_frame
 from .generator import compile_generator, lindblad_operators
 from .pauli_algebra import (P_SINGLET, PauliCoefficients, Q_TRIPLET, S_TOTAL,
-                            TAU_ENTRIES, assemble_matrices, convert, tau_of)
+                            TAU_ENTRIES, assemble_matrices, convert,
+                            project_matrices, tau_of)
 
 
 class ClosedFormNotApplicable(ValueError):
@@ -244,7 +245,7 @@ def stationary_member(sol, tau):
     if sol["dimension"] != 1 or sol["full_rank_member"] is None:
         return None
     d = sol["basis"][0]
-    base = convert(sol["full_rank_member"]).as_vector()
+    base = project_matrices(sol["full_rank_member"])
     return assemble_matrices(base + _tau_step(base, d, tau) * d)
 
 
