@@ -2,9 +2,9 @@
 and the self-check suites.
 
 Exit codes: 0 ok, 1 configuration error or an output file that cannot be
-written, 2 a sampled state outside the positive cone (a generator that is
-not completely positive), 3 closed form not applicable (without
---numeric-only), 4 self-check failure.
+written, 2 a sampled state or a sweep row's end state outside the positive
+cone (a generator that is not completely positive), 3 closed form not
+applicable (without --numeric-only), 4 self-check failure.
 """
 
 import argparse
@@ -23,7 +23,8 @@ from ._csvtext import format_rows
 from .config import (WERNER_KEY, ConfigError, build_block, build_initial,
                      load_config)
 from .entanglement import concurrence, concurrence_closed
-from .generator import IntegrationAccuracyError, evolve
+from .generator import (IntegrationAccuracyError, _check_samples, evolve,
+                        final_map)
 from .pauli_algebra import assemble_matrices, tau_of
 from .steady_state import (ClosedFormNotApplicable, equilibrium_components,
                            liouvillian_null_space, stationary_family,
@@ -99,9 +100,12 @@ def cmd_evolve(config_path, out_path):
     cfg = load_config(config_path)
     block = build_block(cfg)
     initial = build_initial(cfg)
-    tr = evolve(initial, block,
-                t_end=cfg.integrator["t_end"], dt=cfg.integrator["dt"],
-                sample_every=cfg.integrator["sample_every"])
+    try:
+        tr = evolve(initial, block,
+                    t_end=cfg.integrator["t_end"], dt=cfg.integrator["dt"],
+                    sample_every=cfg.integrator["sample_every"])
+    except ValueError as exc:
+        raise ConfigError(f"integrator: {exc}") from None
     table = np.column_stack([tr.times, tr.tau, tr.trace_err, tr.min_pt_eig,
                              tr.concurrence, tr.coeffs[:, _COEFF_ORDER]])
     del tr  # the table holds all that is written; free the samples first
@@ -181,10 +185,14 @@ def _sweep_config(cfg, param, value):
 def sweep_rows(cfg, param, values):
     """Yield `(value, c_closed, c_evolved, delta_c)` for each swept value.
 
-    Each row evolves `cfg` with one field edited (see `_sweep_config`),
-    sampling every `max(sample_every, 100)` steps.  `delta_c` is the predicted
+    Each row is `cfg` with one field edited (see `_sweep_config`).  Its
+    `c_evolved` is the concurrence of the state at t_f, the last time
+    `evolve` would sample, taken as one product with the bath's end-time
+    map `final_map` and checked as `evolve` checks its samples;
+    `integrator.sample_every` is not read.  `delta_c` is the predicted
     werner-family enhancement, None when the row's state is not werner.
-    The stationary family is rebuilt only when the row's bath changes.
+    The stationary family and the end-time map are rebuilt only when the
+    row's bath changes.
     """
     block = build_block(cfg)  # the configured bath must be valid as well
     bath, fam = cfg.bath, None
@@ -199,11 +207,16 @@ def sweep_rows(cfg, param, values):
         initial = build_initial(row)
         if fam is None:
             fam = stationary_family(block)
+            try:
+                M, t_f = final_map(block, t_end=row.integrator["t_end"],
+                                   dt=row.integrator["dt"])
+            except ValueError as exc:
+                raise ConfigError(f"integrator: {exc}") from None
         closed = concurrence_closed(fam.M, fam.R, tau_of(initial))
-        tr = evolve(initial, block,
-                    t_end=row.integrator["t_end"], dt=row.integrator["dt"],
-                    sample_every=max(row.integrator["sample_every"], 100))
-        c_evolved = concurrence(assemble_matrices(tr.coeffs[-1]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_f = M[:15] @ np.append(initial.as_vector(), 1.0)
+        _check_samples(x_f[None], [t_f])
+        c_evolved = concurrence(assemble_matrices(x_f))
         delta_c = None
         if WERNER_KEY in row.initial:
             s = row.initial[WERNER_KEY]["s"]

@@ -203,7 +203,8 @@ class Trajectory:
     sample whose partial transpose has no negative eigenvalue is separable
     (Horodecki, Horodecki & Horodecki, PLA 223, 1, 1996), so its
     concurrence is set to 0.0 and Wootters' formula runs only on the
-    others.  A caller that needs only the final state reads `coeffs[-1]`.
+    others.  A caller that needs only the final state takes it from
+    `final_map` instead.
     """
 
     times: np.ndarray
@@ -273,11 +274,15 @@ def _step_matrix(L, c0, dt):
     squared s times.  Few squarings keep the rounding error small enough
     for a thousand steps in one stride.  The polynomial is evaluated in
     X^5 from X^1 ... X^5 (Paterson & Stockmeyer, SIAM J. Comput. 2, 60,
-    1973): seven matrix products.
+    1973): seven matrix products.  Raises ValueError when dt |G|_1 is past
+    2^1023, infinite included.
     """
     G = np.zeros((16, 16))
     G[:15] = np.column_stack((L, c0))
     norm = dt * np.abs(G).sum(axis=0).max()
+    if not norm <= 2.0 ** 1023:  # else 2^s is past the float range
+        raise ValueError(f"step {dt:g} times the generator's 1-norm, {norm:g}, "
+                         "is past 2^1023; need a smaller dt or t_end")
     s = math.ceil(math.log2(norm)) if norm > 1 else 0
     powers = _stride_powers(dt / 2 ** s * G, 5)
     inner = _TAYLOR[:, 1:] @ powers[:64].reshape(4, 256)
@@ -318,20 +323,61 @@ def _check_samples(vectors, times):
             "the generator is not completely positive")
 
 
+def _horizon(bath, t_end, dt):
+    """(C, dt, n): the coefficient matrix of `bath`, the step, and the step
+    count n = round(t_end / dt) of `evolve` and `final_map`.
+
+    For a `KossakowskiBlock`, dt = 0.01 / rate_scale and t_end = 50 /
+    rate_scale by default; a 6x6 coefficient matrix needs both given.
+    Raises ValueError, naming dt and t_end, unless 0 < dt <= t_end and
+    t_end / dt is finite.
+    """
+    if isinstance(bath, KossakowskiBlock):
+        scale = rate_scale(bath)
+        if dt is None:
+            dt = 0.01 / scale
+        if t_end is None:
+            t_end = 50.0 / scale
+        C = assemble_full_C(bath)
+    else:
+        C = _check_coefficient_matrix(bath)
+        if t_end is None or dt is None:
+            raise ValueError("a coefficient matrix needs an explicit t_end and dt")
+    if not (t_end > 0 and 0 < dt <= t_end and math.isfinite(t_end / dt)):
+        raise ValueError("need 0 < dt <= t_end and a finite t_end / dt, "
+                         f"got dt = {dt:g}, t_end = {t_end:g}")
+    return C, dt, int(round(t_end / dt))
+
+
+def final_map(bath, t_end=None, dt=None):
+    """(M, t_f): the 16x16 map exp(t_f G) acting on [c, 1], and t_f.
+
+    t_f = n dt is the last time `evolve` samples for the same arguments, so
+    M [c0, 1] is that sample's state up to rounding, from one exponential
+    instead of n steps.  Like the step of `evolve`, M amplifies rounding by
+    about t_f |G|_1.  Raises ValueError on a horizon `evolve` would refuse.
+    """
+    C, dt, n = _horizon(bath, t_end, dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _step_matrix(*compile_generator(C), n * dt), n * dt
+
+
 def evolve(initial, bath, t_end=None, dt=None, sample_every=10):
     """Propagate the component equations exactly, sampled on a grid of dt.
 
     `bath` is a `KossakowskiBlock` or a 6x6 coefficient matrix, checked as
-    `rhs_general` checks it.  For a block, dt = 0.01 / rate_scale and t_end =
-    50 / rate_scale by default, so the horizon and resolution follow the
-    fastest rate in the block; a matrix needs both given.  The step is the
+    `rhs_general` checks it.  The horizon is `_horizon`'s: for a block, dt =
+    0.01 / rate_scale and t_end = 50 / rate_scale by default, so the
+    horizon and resolution follow the fastest rate in the block; a matrix
+    needs both given.  A caller that needs only the final state takes it
+    from `final_map`, one exponential, instead.  The step is the
     propagator `_step_matrix`, so dt has no stability limit: samples are
     dt * sample_every apart, plus the final time.  Its squarings amplify
     rounding by about dt * |G|_1 (G the augmented generator): for lam =
     (1, 0.5, 0.2), B = (0, 0, 0.3), |G|_1 = 12, one step of dt = 1e4 moves
     tau by 2e-11 and one of dt = 1e12 by 1.3e-3, so dt * |G|_1 near 1e4 or
     below keeps a step within about 1e-12, and past the float range the
-    step raises OverflowError.
+    step raises ValueError.
     The stride between samples is the `sample_every`-th power of the step;
     from its powers stride^1 ... stride^STRIDE_BLOCK each block of
     STRIDE_BLOCK samples is one product with the last state of the block
@@ -347,23 +393,9 @@ def evolve(initial, bath, t_end=None, dt=None, sample_every=10):
     representation; trace_err reports the reconstruction deviation as an
     integrator-health diagnostic.
     """
-    if isinstance(bath, KossakowskiBlock):
-        scale = rate_scale(bath)
-        if dt is None:
-            dt = 0.01 / scale
-        if t_end is None:
-            t_end = 50.0 / scale
-        C = assemble_full_C(bath)
-    else:
-        C = _check_coefficient_matrix(bath)
-        if t_end is None or dt is None:
-            raise ValueError("a coefficient matrix needs an explicit t_end and dt")
-    if not (t_end > 0 and 0 < dt <= t_end):
-        raise ValueError("need 0 < dt <= t_end")
+    C, dt, n_steps = _horizon(bath, t_end, dt)
     if sample_every < 1:
         raise ValueError("sample_every must be at least 1")
-
-    n_steps = int(round(t_end / dt))
     n_strides, rest = divmod(n_steps, sample_every)
     times = np.arange(n_strides + 1) * sample_every * dt
     if rest:

@@ -13,9 +13,9 @@ from pairbath.bath import make_bath
 from pairbath.config import (ConfigError, build_block, build_initial,
                              load_config, parse_config, run_seed, serialize,
                              werner_state)
-from pairbath.entanglement import concurrence_closed
-from pairbath.generator import evolve
-from pairbath.pauli_algebra import PauliCoefficients, tau_of
+from pairbath.entanglement import concurrence, concurrence_closed
+from pairbath.generator import evolve, final_map
+from pairbath.pauli_algebra import PauliCoefficients, convert, tau_of
 from pairbath.steady_state import stationary_family
 
 from conftest import EYE2, PAULI, non_cp_block, oracle_propagate
@@ -562,7 +562,7 @@ def test_sweep_empty_value_list_exit_1(tmp_path, capsys, values):
 def test_sweep_unwritable_out_exit_1(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, BASE)
     out = tmp_path / "no" / "such" / "x.csv"
-    monkeypatch.setattr(cli, "evolve", _no_evolve)
+    monkeypatch.setattr(cli, "final_map", _no_evolve)
     assert cli.main(["sweep", "--config", cfg, "--param", "s",
                      "--values", "0,0.25", "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -572,7 +572,7 @@ def test_sweep_unwritable_out_exit_1(tmp_path, capsys, monkeypatch):
 
 def test_sweep_out_is_directory_exit_1(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, BASE)
-    monkeypatch.setattr(cli, "evolve", _no_evolve)
+    monkeypatch.setattr(cli, "final_map", _no_evolve)
     assert cli.main(["sweep", "--config", cfg, "--param", "s",
                      "--values", "0,0.25", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
@@ -580,14 +580,25 @@ def test_sweep_out_is_directory_exit_1(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+def _assert_final_concurrence(c_evolved, initial, block, integrator):
+    # the row's end state comes from one end-time map, not from the steps of
+    # a trajectory: within 1e-12 of the last sample of a 100-step-sampled
+    # evolve, and of the oracle at that sample's time
+    tr = evolve(initial, block, t_end=integrator["t_end"], dt=integrator["dt"],
+                sample_every=100)
+    assert final_map(block, t_end=integrator["t_end"], dt=integrator["dt"])[1] \
+        == tr.times[-1]
+    assert abs(c_evolved - tr.concurrence[-1]) <= 1e-12
+    rho = oracle_propagate(convert(initial), block.A, block.B, tr.times[-1])
+    assert abs(c_evolved - concurrence(rho)) <= 1e-12
+
+
 def test_sweep_c_evolved_is_final_trajectory_concurrence(tmp_path):
     cfg = load_config(write_config(tmp_path, BASE))
     rows = list(cli.sweep_rows(cfg, "s", [0.0, 0.25, 0.6]))
     for value, _, c_evolved, _ in rows:
-        tr = evolve(werner_state(value), build_block(cfg),
-                    t_end=cfg.integrator["t_end"], dt=cfg.integrator["dt"],
-                    sample_every=max(cfg.integrator["sample_every"], 100))
-        assert c_evolved == tr.concurrence[-1]
+        _assert_final_concurrence(c_evolved, werner_state(value),
+                                  build_block(cfg), cfg.integrator)
 
 
 SWEEP_VALUES = {"s": [0.0, 0.25, 0.6], "tau": [-1.0, 0.0, 0.5],
@@ -605,6 +616,22 @@ def test_sweep_family_once_per_bath(tmp_path, monkeypatch, param):
         return stationary_family(block)
 
     monkeypatch.setattr(cli, "stationary_family", counted)
+    cfg = load_config(write_config(tmp_path, BASE))
+    assert len(list(cli.sweep_rows(cfg, param, SWEEP_VALUES[param]))) == 3
+    assert len(seen) == calls
+
+
+@pytest.mark.parametrize("param", ["s", "tau", "B", "lambda_3"])
+def test_sweep_end_map_once_per_bath(tmp_path, monkeypatch, param):
+    # one end-time map per distinct bath, as for the stationary family
+    calls = 1 if param in ("s", "tau") else 3
+    seen = []
+
+    def counted(block, **kwargs):
+        seen.append(block)
+        return final_map(block, **kwargs)
+
+    monkeypatch.setattr(cli, "final_map", counted)
     cfg = load_config(write_config(tmp_path, BASE))
     assert len(list(cli.sweep_rows(cfg, param, SWEEP_VALUES[param]))) == 3
     assert len(seen) == calls
@@ -632,14 +659,63 @@ def test_sweep_rows_match_direct_evolve(tmp_path, param):
         initial, block = _hand_built_row(cfg, param, value)
         fam = stationary_family(block)
         assert c_closed == concurrence_closed(fam.M, fam.R, tau_of(initial))["C"]
-        tr = evolve(initial, block,
-                    t_end=cfg.integrator["t_end"], dt=cfg.integrator["dt"],
-                    sample_every=max(cfg.integrator["sample_every"], 100))
-        assert c_evolved == tr.concurrence[-1]
+        _assert_final_concurrence(c_evolved, initial, block, cfg.integrator)
         if param == "tau":
             assert delta_c is None
         else:
             assert isinstance(delta_c, float)
+
+
+def test_sweep_integration_failure_exit_2(tmp_path, capsys, monkeypatch):
+    # the end state is checked as evolve checks its samples: on a block that
+    # is not completely positive it has the eigenvalue -3.0e-3 at t_f
+    bad = non_cp_block(np.eye(3), [0.0, 0.0, 1.02])
+    monkeypatch.setattr(cli, "final_map",
+                        lambda block, **kwargs: final_map(bad, **kwargs))
+    cfg = write_config(tmp_path, {**BASE, "initial": {"werner": {"s": 0.3}}})
+    out = tmp_path / "x.csv"
+    assert cli.main(["sweep", "--config", cfg, "--param", "s",
+                     "--values", "0.3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"integration failure: state eigenvalue -3\.000e-03 at "
+                        r"t=49\.0196; the generator is not completely positive\n",
+                        err), err
+    assert not out.exists()
+
+
+SLOW_BATH = {"lambda": [1, 0.5, 0.2], "B": [0, 0, 0.3]}
+FAST_BATH = {"lambda": [100, 50, 20], "B": [0, 0, 10]}
+HORIZON = r"need 0 < dt <= t_end and a finite t_end / dt, "
+
+
+@pytest.mark.parametrize("bath, integrator, message", [
+    (SLOW_BATH, {"dt": 2, "t_end": 1}, HORIZON + r"got dt = 2, t_end = 1"),
+    # larger than the default horizon 50 / rate_scale = 50
+    (SLOW_BATH, {"dt": 100}, HORIZON + r"got dt = 100, t_end = 50"),
+    (SLOW_BATH, {"dt": 1e-3, "t_end": 1e307},
+     HORIZON + r"got dt = 0\.001, t_end = 1e\+307"),
+    # |G|_1 = 1200: the product overflows, or 2^s would
+    (FAST_BATH, {"dt": 1e307, "t_end": 1e307},
+     r"step 1e\+307 times the generator's 1-norm, inf, is past 2\^1023; "
+     r"need a smaller dt or t_end"),
+    (FAST_BATH, {"dt": 1e305, "t_end": 1e305},
+     r"step 1e\+305 times the generator's 1-norm, 1\.2e\+308, is past 2\^1023; "
+     r"need a smaller dt or t_end"),
+], ids=["dt>t_end", "dt>default-horizon", "step-count-overflow", "norm-overflow",
+        "norm-past-2^1023"])
+@pytest.mark.parametrize("command", ["evolve", "sweep"])
+def test_bad_horizon_is_config_error(tmp_path, capsys, bath, integrator, message,
+                                     command):
+    cfg = write_config(tmp_path, {"bath": bath, "initial": {"werner": {"s": 0.2}},
+                                  "integrator": integrator})
+    argv = {"evolve": [], "sweep": ["--param", "s", "--values", "0.2"]}[command]
+    out = tmp_path / "x.csv"
+    assert cli.main([command, "--config", cfg, *argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert re.fullmatch("config error: integrator: " + message + "\n",
+                        captured.err), captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 @pytest.mark.parametrize("param", ["B", "lambda_1"])

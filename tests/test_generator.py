@@ -17,8 +17,9 @@ from pairbath.generator import (_F_OPS, _THETA, RECORD_CHUNK, STRIDE_BLOCK,
                                 IntegrationAccuracyError, _check_samples,
                                 _generator_tensor, _lindblad_sum,
                                 _step_matrix, compile_generator,
-                                diagonal_form_check, evolve, rate_scale,
-                                rhs_components, rhs_equal_blocks, rhs_general)
+                                diagonal_form_check, evolve, final_map,
+                                rate_scale, rhs_components, rhs_equal_blocks,
+                                rhs_general)
 from pairbath.pauli_algebra import (EXPANSION, IDENT2, P_SINGLET, SIGMA,
                                     TAU_ENTRIES, PauliCoefficients,
                                     assemble_matrices, convert, tau_of)
@@ -133,6 +134,22 @@ def test_default_evolve_is_exact_at_every_sample(rng, lam, B):
                                for t in np.array_split(tr.times, 10)])
     expected = np.einsum("nij,kji->nk", expected, EXPANSION).real
     assert np.abs(tr.coeffs - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("t_end", [None, 7.03, 350.0])
+def test_final_map_is_the_last_sample(rng, t_end):
+    # t_f is the last time evolve samples, and one exponential to it matches
+    # the oracle there; at t_end = 350 the map's squarings allow 1e-11
+    tol = 1e-11 if t_end == 350.0 else 1e-12
+    for blk in (random_aligned_bath(rng), random_offaxis_bath(rng)):
+        rho0 = random_state(rng)
+        dt = None if t_end is None else 0.01
+        M, t_f = final_map(blk, t_end=t_end, dt=dt)
+        tr = evolve(convert(rho0), blk, t_end=t_end, dt=dt, sample_every=10 ** 6)
+        assert t_f == tr.times[-1]
+        x_f = M[:15] @ np.append(convert(rho0).as_vector(), 1.0)
+        expected = convert(oracle_propagate(rho0, blk.A, blk.B, t_f)).as_vector()
+        assert np.abs(x_f - expected).max() <= tol
 
 
 @pytest.mark.parametrize("sample_every", [1, 7])
