@@ -87,8 +87,10 @@ def main(argv=None):
     print(f"wrote {args.out} and {threshold_path}")
 
     if args.check_evolve:
-        # stay away from f ~ 1: the spectral gap closes at the positivity
-        # boundary and t = 50/scale no longer reaches the equilibrium
+        # stay away from f ~ 1: the spectral gap does not close there, but it
+        # shrinks toward 2 lam3 while the default horizon t = 50/scale follows
+        # the fastest rate, so a small lam3 leaves the equilibrium unreached
+        # (ROADMAP item 4)
         worst = 0.0
         for f in (0.3, 0.7):
             cfg = parse_config({"bath": {"lambda": lam, "B": [0.0, 0.0, f * b_max]},

@@ -25,7 +25,7 @@ from .config import (WERNER_KEY, ConfigError, build_block, build_initial,
 from .entanglement import concurrence, concurrence_closed
 from .generator import (IntegrationAccuracyError, _check_samples, evolve,
                         final_map)
-from .pauli_algebra import assemble_matrices, tau_of
+from .pauli_algebra import tau_of
 from .steady_state import (ClosedFormNotApplicable, equilibrium_components,
                            liouvillian_null_space, stationary_family,
                            stationary_member)
@@ -215,8 +215,7 @@ def sweep_rows(cfg, param, values):
         closed = concurrence_closed(fam.M, fam.R, tau_of(initial))
         with np.errstate(over="ignore", invalid="ignore"):
             x_f = M[:15] @ np.append(initial.as_vector(), 1.0)
-        _check_samples(x_f[None], [t_f])
-        c_evolved = concurrence(assemble_matrices(x_f))
+        c_evolved = concurrence(_check_samples(x_f[None], [t_f])[0])
         delta_c = None
         if WERNER_KEY in row.initial:
             s = row.initial[WERNER_KEY]["s"]
@@ -239,7 +238,7 @@ def cmd_check():
     """Run every invariant suite; report one PASS/FAIL line each, with the
     suite's wall time."""
     first_fail = None
-    for name, ok, detail, seconds in selfcheck._run_timed():
+    for name, ok, detail, seconds in selfcheck.run_all():
         print(f"{'PASS' if ok else 'FAIL'} {name} ({detail}; {seconds:.2f} s)")
         if not ok and first_fail is None:
             first_fail = name

@@ -13,7 +13,7 @@ evaluations of the general form, one per unit Hermitian matrix.
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -28,9 +28,8 @@ _SIG_PROD = [[BIG_SIGMA[i] @ BIG_SIGMA[j] for j in range(3)] for i in range(3)]
 
 _F_OPS = EXPANSION[[3, 4, 5, 0, 1, 2]]
 
-# Samples that `evolve` checks, or whose observables `Trajectory` computes, in
-# one batch.  A bounded batch keeps the eigh/SVD temporaries small however
-# many samples a run takes.
+# Samples that `evolve` checks and measures in one batch.  A bounded batch
+# keeps the eigh/SVD temporaries small however many samples a run takes.
 RECORD_CHUNK = 256
 
 # Samples that `evolve` propagates with one product, from the powers
@@ -197,47 +196,20 @@ class Trajectory:
 
     `coeffs` is the (n, 15) array of sampled coefficient vectors, one row
     per entry of `times`, in `PauliCoefficients.as_vector` order, and `tau`
-    their correlation traces.  The per-sample observables `trace_err`,
-    `min_pt_eig` and `concurrence` are computed from `coeffs` on first
-    read, all three together in batches of RECORD_CHUNK, and kept.  A
+    their correlation traces.  Per sample, `trace_err` is |trace - 1|, an
+    integrator-health diagnostic, `min_pt_eig` the smallest eigenvalue of
+    the partial transpose, and `concurrence` Wootters' concurrence.  A
     sample whose partial transpose has no negative eigenvalue is separable
     (Horodecki, Horodecki & Horodecki, PLA 223, 1, 1996), so its
-    concurrence is set to 0.0 and Wootters' formula runs only on the
-    others.  A caller that needs only the final state takes it from
-    `final_map` instead.
+    concurrence is exactly 0.0.
     """
 
     times: np.ndarray
     coeffs: np.ndarray
     tau: np.ndarray
-
-    @cached_property
-    def _observables(self):
-        trace_err, min_pt_eig, conc = np.empty((3, len(self.times)))
-        for lo in range(0, len(self.times), RECORD_CHUNK):
-            part = slice(lo, lo + RECORD_CHUNK)
-            mats = assemble_matrices(self.coeffs[part])
-            trace_err[part] = np.abs(np.trace(mats, axis1=-2, axis2=-1).real - 1.0)
-            min_pt_eig[part] = partial_transpose(mats)[1]
-            npt = min_pt_eig[part] < 0
-            conc[part] = 0.0
-            conc[part][npt] = concurrence(mats[npt])
-        return trace_err, min_pt_eig, conc
-
-    @property
-    def trace_err(self):
-        """|trace - 1| of each sampled state, an integrator-health diagnostic."""
-        return self._observables[0]
-
-    @property
-    def min_pt_eig(self):
-        """Smallest eigenvalue of each sample's partial transpose."""
-        return self._observables[1]
-
-    @property
-    def concurrence(self):
-        """Wootters concurrence of each sample; exactly 0.0 where min_pt_eig >= 0."""
-        return self._observables[2]
+    trace_err: np.ndarray
+    min_pt_eig: np.ndarray
+    concurrence: np.ndarray
 
 
 def rate_scale(block):
@@ -297,7 +269,8 @@ def _step_matrix(L, c0, dt):
 
 
 def _check_samples(vectors, times):
-    """Raise on the first sample, in time order, that is not a state.
+    """The samples' density matrices, `assemble_matrices(vectors)`; raise on
+    the first sample, in time order, that is not a state.
 
     A sample fails with a non-finite coefficient or an eigenvalue below
     STATE_EIG_FLOOR, the floor `concurrence` accepts.  One batched Cholesky
@@ -321,6 +294,7 @@ def _check_samples(vectors, times):
         raise IntegrationAccuracyError(
             f"non-finite state coefficients at t={times[n_ok]:.6g}; "
             "the generator is not completely positive")
+    return mats
 
 
 def _horizon(bath, t_end, dt):
@@ -381,17 +355,18 @@ def evolve(initial, bath, t_end=None, dt=None, sample_every=10):
     The stride between samples is the `sample_every`-th power of the step;
     from its powers stride^1 ... stride^STRIDE_BLOCK each block of
     STRIDE_BLOCK samples is one product with the last state of the block
-    before.  All samples are propagated first, then checked in batches of
-    RECORD_CHUNK, each cleared by one Cholesky factorization when every
-    sample in it is a state: the first sampled state, in time order, with
-    a non-finite coefficient or an eigenvalue below STATE_EIG_FLOOR (-1e-8)
-    raises IntegrationAccuracyError, which only a generator that is not
-    completely positive can cause.  The returned `Trajectory` computes its
-    per-sample observables only when one is read, and Wootters' concurrence
-    only on samples with a negative partial-transpose eigenvalue (0.0 on
-    the others).  The trace is structurally conserved by the component
-    representation; trace_err reports the reconstruction deviation as an
-    integrator-health diagnostic.
+    before.  All samples are propagated first, then checked and measured
+    in batches of RECORD_CHUNK, each assembled once by `_check_samples`
+    and cleared by one Cholesky factorization when every sample in it is
+    a state: the first sampled state, in time order, with a non-finite
+    coefficient or an eigenvalue below STATE_EIG_FLOOR (-1e-8) raises
+    IntegrationAccuracyError, which only a generator that is not
+    completely positive can cause, before any observable of its batch is
+    computed.  The observables come from the same matrices, Wootters'
+    concurrence only on samples with a negative partial-transpose
+    eigenvalue (0.0 on the others).  The trace is structurally conserved
+    by the component representation; trace_err reports the reconstruction
+    deviation as an integrator-health diagnostic.
     """
     C, dt, n_steps = _horizon(bath, t_end, dt)
     if sample_every < 1:
@@ -414,9 +389,17 @@ def evolve(initial, bath, t_end=None, dt=None, sample_every=10):
             np.dot(np.linalg.matrix_power(step, rest), Y[-2], out=Y[-1])
 
     vectors = Y[:, :15]
+    trace_err, min_pt_eig, conc = np.empty((3, len(times)))
     for lo in range(0, len(times), RECORD_CHUNK):
         part = slice(lo, lo + RECORD_CHUNK)
-        _check_samples(vectors[part], times[part])
+        mats = _check_samples(vectors[part], times[part])
+        trace_err[part] = np.abs(np.trace(mats, axis1=-2, axis2=-1).real - 1.0)
+        min_pt_eig[part] = partial_transpose(mats)[1]
+        npt = min_pt_eig[part] < 0
+        conc[part] = 0.0
+        conc[part][npt] = concurrence(mats[npt])
     return Trajectory(times=times, coeffs=vectors,
-                      tau=vectors[:, TAU_ENTRIES].sum(axis=1))
+                      tau=vectors[:, TAU_ENTRIES].sum(axis=1),
+                      trace_err=trace_err, min_pt_eig=min_pt_eig,
+                      concurrence=conc)
 

@@ -207,7 +207,7 @@ SUITES = [
 ]
 
 
-def _run_timed(seed=None):
+def run_all(seed=None):
     """Yield `(name, passed, detail, seconds)` for each suite in turn, each run
     with a fresh generator seeded by the run seed and the suite's index."""
     if seed is None:
@@ -220,8 +220,3 @@ def _run_timed(seed=None):
         except Exception as exc:  # a crash is a failure, not an abort
             ok, detail = False, f"exception: {exc!r}"
         yield name, ok, detail, time.perf_counter() - start
-
-
-def run_all(seed=None):
-    """Run every suite with a fresh seeded generator; list of result triples."""
-    return [(name, ok, detail) for name, ok, detail, _ in _run_timed(seed)]

@@ -14,7 +14,7 @@ from pairbath.config import (ConfigError, build_block, build_initial,
                              load_config, parse_config, run_seed, serialize,
                              werner_state)
 from pairbath.entanglement import concurrence, concurrence_closed
-from pairbath.generator import evolve, final_map
+from pairbath.generator import _generator_tensor, evolve, final_map
 from pairbath.pauli_algebra import PauliCoefficients, convert, tau_of
 from pairbath.steady_state import stationary_family
 
@@ -623,18 +623,32 @@ def test_sweep_family_once_per_bath(tmp_path, monkeypatch, param):
 
 @pytest.mark.parametrize("param", ["s", "tau", "B", "lambda_3"])
 def test_sweep_end_map_once_per_bath(tmp_path, monkeypatch, param):
-    # one end-time map per distinct bath, as for the stationary family
+    # one end-time map per distinct bath, as for the stationary family, and
+    # one assembly per row: the screened end state is the one measured
     calls = 1 if param in ("s", "tau") else 3
-    seen = []
+    seen, stacks, measured = [], [], []
 
     def counted(block, **kwargs):
         seen.append(block)
         return final_map(block, **kwargs)
 
+    def assembled(vectors):
+        stacks.append(pairbath.pauli_algebra.assemble_matrices(vectors))
+        return stacks[-1]
+
+    def measured_concurrence(mat):
+        measured.append(mat)
+        return concurrence(mat)
+
+    _generator_tensor()  # built once per process, from its own assembly
     monkeypatch.setattr(cli, "final_map", counted)
+    monkeypatch.setattr("pairbath.generator.assemble_matrices", assembled)
+    monkeypatch.setattr(cli, "concurrence", measured_concurrence)
     cfg = load_config(write_config(tmp_path, BASE))
     assert len(list(cli.sweep_rows(cfg, param, SWEEP_VALUES[param]))) == 3
     assert len(seen) == calls
+    assert len(stacks) == len(measured) == 3
+    assert all(np.shares_memory(m, s) for m, s in zip(measured, stacks))
 
 
 def _hand_built_row(cfg, param, value):
@@ -810,8 +824,8 @@ def test_check_reports_suite_wall_time(monkeypatch, capsys):
 
 
 def test_check_deterministic():
-    a = pairbath.selfcheck.run_all(seed=5)
-    b = pairbath.selfcheck.run_all(seed=5)
+    a = [result[:3] for result in pairbath.selfcheck.run_all(seed=5)]
+    b = [result[:3] for result in pairbath.selfcheck.run_all(seed=5)]
     assert a == b
 
 
@@ -835,4 +849,4 @@ def test_check_corrupted_epsilon_exits_4(monkeypatch, capsys):
 def test_seed_changes_draws_not_verdicts(monkeypatch):
     monkeypatch.setenv("PAIRBATH_SEED", "123")
     results = pairbath.selfcheck.run_all()
-    assert all(ok for _, ok, _ in results)
+    assert all(ok for _, ok, _, _ in results)

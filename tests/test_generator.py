@@ -249,8 +249,11 @@ def test_positivity_screen_passes_rounding_and_finds_failures(rng, monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-    _check_samples(vectors, times)
+    mats = _check_samples(vectors, times)
     assert calls == []  # the Cholesky screen clears every sample
+    # what the screen returns is the assembled stack, for the caller to measure
+    assert mats.shape == (6, 4, 4)
+    assert mats.tobytes() == assemble_matrices(vectors).tobytes()
 
     vectors[3] = _state_with_min_eig(rng, -2e-8)
     vectors[5] = _state_with_min_eig(rng, -3e-8)
@@ -415,11 +418,13 @@ def test_evolve_coefficient_matrix_input(rng):
         evolve(state, np.triu(np.ones((6, 6))), t_end=1.0, dt=0.01)
 
 
-@pytest.mark.parametrize("first", ["trace_err", "min_pt_eig", "concurrence"])
-def test_observables_are_computed_on_first_read(rng, monkeypatch, first):
-    calls = {"concurrence": 0, "partial_transpose": 0}
-    for name, fn in (("concurrence", concurrence),
-                     ("partial_transpose", partial_transpose)):
+def test_evolve_assembles_and_measures_each_chunk_once(rng, monkeypatch):
+    counted = {"assemble_matrices": assemble_matrices,
+               "partial_transpose": partial_transpose,
+               "concurrence": concurrence}
+    calls = dict.fromkeys(counted, 0)
+    _generator_tensor()  # built once per process, from its own assembly
+    for name, fn in counted.items():
         def counting(mats, fn=fn, name=name):
             calls[name] += 1
             return fn(mats)
@@ -429,13 +434,11 @@ def test_observables_are_computed_on_first_read(rng, monkeypatch, first):
     dt = 0.01 / rate_scale(blk)
     tr = evolve(convert(random_state(rng)), blk, t_end=600 * dt, dt=dt,
                 sample_every=1)
-    assert calls == {"concurrence": 0, "partial_transpose": 0}
     chunks = math.ceil(len(tr.times) / RECORD_CHUNK)
     assert chunks == 3
-    getattr(tr, first)
-    assert calls == {"concurrence": chunks, "partial_transpose": chunks}
+    assert calls == dict.fromkeys(counted, chunks)
     tr.trace_err, tr.min_pt_eig, tr.concurrence
-    assert calls == {"concurrence": chunks, "partial_transpose": chunks}
+    assert calls == dict.fromkeys(counted, chunks)
 
 
 def test_evolve_default_horizon_scales(rng):
