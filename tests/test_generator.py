@@ -441,6 +441,31 @@ def test_evolve_assembles_and_measures_each_chunk_once(rng, monkeypatch):
     assert calls == dict.fromkeys(counted, chunks)
 
 
+@pytest.mark.parametrize("first", ["trace_err", "min_pt_eig", "concurrence"])
+def test_observables_are_computed_on_first_read(rng, monkeypatch, first):
+    # by the first read every column is already recorded: reading one
+    # computes nothing, and it equals its direct per-sample evaluation
+    blk = random_aligned_bath(rng)
+    dt = 0.01 / rate_scale(blk)
+    tr = evolve(convert(random_state(rng)), blk, t_end=600 * dt, dt=dt,
+                sample_every=1)
+    calls = []
+    for name in ("assemble_matrices", "partial_transpose", "concurrence"):
+        monkeypatch.setattr(f"pairbath.generator.{name}",
+                            lambda *a, name=name: calls.append(name))
+    column = getattr(tr, first)
+    assert calls == []
+    assert column.shape == tr.times.shape
+    mats = assemble_matrices(tr.coeffs)
+    direct = {
+        "trace_err": lambda: np.abs(np.trace(mats, axis1=-2, axis2=-1).real
+                                    - 1.0),
+        "min_pt_eig": lambda: partial_transpose(mats)[1],
+        "concurrence": lambda: np.array([concurrence(m) for m in mats]),
+    }[first]()
+    np.testing.assert_allclose(column, direct, rtol=0, atol=1e-12)
+
+
 def test_evolve_default_horizon_scales(rng):
     blk = make_bath(np.diag([4.0, 4.0, 4.0]), [0, 0, 1.0])
     assert rate_scale(blk) == 4.0
