@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathValidityError, make_bath
-from .entanglement import STATE_EIG_FLOOR
 from .pauli_algebra import (PauliCoefficients, check_density_matrix, convert,
                             tau_of)
 
@@ -135,11 +134,10 @@ def _parse_variant(node, field, allow_mixed=True):
         rij = _reals(body.get("rij"), f"{field}.pauli.rij")
         if rij.shape != (3, 3):
             raise ConfigError(f"{field}.pauli.rij: expected 3x3, got shape {rij.shape}")
-        # the tolerances of the integrator's state check and of the
-        # closed-form tau range
+        # the state floor of the integrator, and the closed-form tau range
         state = PauliCoefficients(r0i, ri0, rij)
         try:
-            check_density_matrix(convert(state), psd_floor=STATE_EIG_FLOOR)
+            check_density_matrix(convert(state))
         except ValueError as exc:
             raise ConfigError(f"{field}.pauli: not a state: {exc}") from None
         tau = tau_of(state)
@@ -289,8 +287,8 @@ def _variant_state(variant):
     raise ConfigError(f"initial.{key}: unknown state variant")
 
 
-def run_seed(default=0):
-    """Seed for randomized suites, from the environment when present."""
+def run_seed():
+    """Seed for randomized suites: from the environment when set, else 0."""
     for var in ("PAIRBATH_SEED", "TOOL_SEED"):
         if var in os.environ:
             try:
@@ -298,4 +296,4 @@ def run_seed(default=0):
             except ValueError:
                 raise ConfigError(f"{var}: need an integer, "
                                   f"got {os.environ[var]!r}") from None
-    return default
+    return 0

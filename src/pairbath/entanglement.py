@@ -19,13 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .pauli_algebra import STATE_EIG_FLOOR
+
 # sigma_y x sigma_y is real and antidiagonal; these are its entries from
 # the top row down, as a column that scales the rows of a 4 x n matrix
 _YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
-
-# Smallest eigenvalue a state may show from rounding alone; below it a
-# matrix is not a state (`concurrence` raises, `evolve` aborts).
-STATE_EIG_FLOOR = -1e-8
 
 # Smallest Cholesky pivot L_kk^2 at which `concurrence` keeps the triangular
 # factor.  A smaller pivot marks a rank-deficient or nearly rank-deficient
@@ -49,20 +47,20 @@ def partial_transpose(mat):
     return pt, _float_or_array(np.linalg.eigvalsh(pt).min(axis=-1))
 
 
-def _root_factor(mat, floor=STATE_EIG_FLOOR):
+def _root_factor(mat):
     """W = U diag(sqrt(w)) and U from one eigh, so that mat = W W^dagger.
 
-    Raises when an eigenvalue is below `floor`; those between it and 0 are
-    clipped to 0.
+    Raises when an eigenvalue is below STATE_EIG_FLOOR; those between it
+    and 0 are clipped to 0.
     """
     w, U = np.linalg.eigh(mat)
-    if (w < floor).any():
+    if (w < STATE_EIG_FLOOR).any():
         raise ValueError(f"matrix has eigenvalue {w.min():.3e}, not a state")
     return U * np.sqrt(np.clip(w, 0.0, None))[..., None, :], U
 
 
-def _psd_sqrt(mat, floor=STATE_EIG_FLOOR):
-    W, U = _root_factor(mat, floor)
+def _psd_sqrt(mat):
+    W, U = _root_factor(mat)
     return W @ U.conj().swapaxes(-1, -2)
 
 
@@ -115,7 +113,7 @@ def concurrence(mat):
     return _float_or_array(c)
 
 
-def concurrence_closed(M, R, tau, tol=1e-9):
+def concurrence_closed(M, R, tau):
     """Asymptotic concurrence over the commuting stationary family.
 
     The formula ignores N.  It is exact when 8|N| <= 1 - 2R (N = 0, equal
@@ -124,8 +122,10 @@ def concurrence_closed(M, R, tau, tol=1e-9):
     returns 0, while Wootters' concurrence of the closed-form equilibrium is
     0.9127.  Returns the gap Delta, the concurrence, and the threshold value
     of tau below which the asymptotic state is entangled.  The affine form
-    of the numerator makes C exactly 1 at the singlet point tau = -3.
+    of the numerator makes C exactly 1 at the singlet point tau = -3.  Each
+    range check below allows 1e-9 of rounding.
     """
+    tol = 1e-9
     if not (-tol <= 2 * R <= 1 + tol):
         raise ValueError(f"need 0 <= 2R <= 1, got 2R = {2 * R}")
     if M * M > 2 * R + tol:

@@ -18,10 +18,10 @@ from functools import cache
 import numpy as np
 
 from .bath import KossakowskiBlock, assemble_full_C
-from .entanglement import (STATE_EIG_FLOOR, _psd_sqrt, concurrence,
-                           partial_transpose)
-from .pauli_algebra import (BIG_SIGMA, EXPANSION, PauliCoefficients,
-                            TAU_ENTRIES, assemble_matrices, project_matrices)
+from .entanglement import _psd_sqrt, concurrence, partial_transpose
+from .pauli_algebra import (BIG_SIGMA, EXPANSION, STATE_EIG_FLOOR,
+                            PauliCoefficients, TAU_ENTRIES, assemble_matrices,
+                            project_matrices)
 
 # cached products Sigma_i Sigma_j for the anticommutator terms
 _SIG_PROD = [[BIG_SIGMA[i] @ BIG_SIGMA[j] for j in range(3)] for i in range(3)]
@@ -88,9 +88,11 @@ def rhs_components(state, block):
 
 
 def _check_coefficient_matrix(C):
-    """C as a complex array, or ValueError unless it is Hermitian and PSD
-    within 1e-10."""
+    """C as a complex array, or ValueError unless it is finite, and Hermitian
+    and PSD within 1e-10."""
     C = np.asarray(C, dtype=complex)
+    if not np.isfinite(C).all():
+        raise ValueError("coefficient matrix has non-finite entries")
     if np.abs(C - C.conj().T).max() > 1e-10:
         raise ValueError("coefficient matrix is not Hermitian")
     w = np.linalg.eigvalsh(C)

@@ -141,17 +141,23 @@ def tau_of(state):
     return float(project_matrices(state)[TAU_ENTRIES].sum())
 
 
-def check_density_matrix(mat, herm_tol=1e-12, trace_tol=1e-12, psd_floor=-1e-10):
-    """Raise ValueError unless mat is Hermitian, unit-trace and numerically PSD."""
+# Smallest eigenvalue a state may show from rounding alone; every state
+# check (`check_density_matrix`, `concurrence`, `evolve`) rejects below it.
+STATE_EIG_FLOOR = -1e-8
+
+
+def check_density_matrix(mat):
+    """Raise ValueError unless mat is Hermitian and unit-trace within 1e-12
+    and has no eigenvalue below STATE_EIG_FLOOR."""
     mat = np.asarray(mat, dtype=complex)
     herm_dev = np.abs(mat - mat.conj().T).max()
-    if herm_dev > herm_tol:
+    if herm_dev > 1e-12:
         raise ValueError(f"not Hermitian: max deviation {herm_dev:.3e}")
     trace_dev = abs(np.trace(mat).real - 1.0)
-    if trace_dev > trace_tol:
+    if trace_dev > 1e-12:
         raise ValueError(f"trace deviates from 1 by {trace_dev:.3e}")
     min_eig = np.linalg.eigvalsh(mat).min()
-    if min_eig < psd_floor:
+    if min_eig < STATE_EIG_FLOOR:
         raise ValueError(f"negative eigenvalue {min_eig:.3e}")
     return mat
 

@@ -187,11 +187,11 @@ def _tau_step(point, d, tau):
     return (tau - point[TAU_ENTRIES].sum()) / d[TAU_ENTRIES].sum()
 
 
-def liouvillian_null_space(block, rank_tol=1e-10):
+def liouvillian_null_space(block):
     """Numerical oracle for the stationary set of a block.
 
     Solves the affine system over the 15 real coefficients by singular-value
-    decomposition (relative threshold `rank_tol`), returning the dimension of
+    decomposition (relative threshold 1e-10), returning the dimension of
     the solution set, an orthonormal basis of directions, and a member with
     all eigenvalues above 1e-8 located by maximizing the minimum eigenvalue
     over the set: one `_line_search` along the tau line when the set is a
@@ -204,7 +204,7 @@ def liouvillian_null_space(block, rank_tol=1e-10):
     """
     L, c0 = compile_generator(assemble_full_C(block))
     U, s, Vt = np.linalg.svd(L)
-    cutoff = rank_tol * (s[0] if s[0] > 0 else 1.0)
+    cutoff = 1e-10 * (s[0] if s[0] > 0 else 1.0)
     null_dirs = [Vt[k] for k in range(15) if s[k] <= cutoff]
 
     # minimum-norm particular solution of L v = -c0 through the same SVD

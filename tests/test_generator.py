@@ -74,6 +74,19 @@ def test_rhs_general_validates():
         rhs_general(np.eye(4, dtype=complex) / 4, C)
 
 
+@pytest.mark.parametrize("entries, value", [([(0, 0)], np.nan),
+                                           ([(0, 1), (1, 0)], np.inf)],
+                         ids=["nan-diagonal", "inf-off-diagonal-pair"])
+def test_non_finite_coefficient_matrix_is_rejected(entries, value):
+    C = np.eye(6, dtype=complex)
+    for ab in entries:
+        C[ab] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        rhs_general(np.eye(4, dtype=complex) / 4, C)
+    with pytest.raises(ValueError, match="non-finite"):
+        evolve(convert(np.eye(4) / 4), C, t_end=1.0, dt=0.1)
+
+
 def test_evolve_matches_exponential_oracle(rng):
     for _ in range(4):
         blk = random_aligned_bath(rng)

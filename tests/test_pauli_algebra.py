@@ -13,6 +13,10 @@ from pairbath.pauli_algebra import (BIG_SIGMA, EXPANSION_REAL, IDENT4,
                                     check_density_matrix, convert,
                                     levi_civita, project_matrices, tau_of)
 
+from pairbath.config import ConfigError, parse_config
+from pairbath.entanglement import concurrence
+from pairbath.generator import IntegrationAccuracyError, _check_samples
+
 from conftest import COLLECTIVE, EYE2, PAULI, random_state
 
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
@@ -234,6 +238,30 @@ def test_check_density_matrix():
         check_density_matrix(np.eye(4, dtype=complex) / 2)
     with pytest.raises(ValueError, match="eigenvalue"):
         check_density_matrix(np.diag([1.5, -0.5, 0, 0]).astype(complex))
+
+
+@pytest.mark.parametrize("e, is_state", [(-5e-9, True), (-2e-8, False)])
+def test_state_checks_share_one_floor(e, is_state):
+    """The density-matrix check, the config's pauli check, concurrence and
+    the integrator's sample check all accept an eigenvalue of -5e-9 and all
+    reject one of -2e-8."""
+    mat = np.diag([0.5 - e, 0.5, 0.0, e]).astype(complex)
+    coeffs = convert(mat)
+    obj = {"bath": {"lambda": [1.0, 1.0, 1.0], "B": [0.0, 0.0, 0.0]},
+           "initial": {"pauli": {"r0i": coeffs.r0i.tolist(),
+                                 "ri0": coeffs.ri0.tolist(),
+                                 "rij": coeffs.rij.tolist()}}}
+    checks = [(lambda: check_density_matrix(mat), ValueError),
+              (lambda: parse_config(obj), ConfigError),
+              (lambda: concurrence(mat), ValueError),
+              (lambda: _check_samples(coeffs.as_vector()[None], [0.0]),
+               IntegrationAccuracyError)]
+    for check, error in checks:
+        if is_state:
+            check()
+        else:
+            with pytest.raises(error):
+                check()
 
 
 def test_vector_round_trip():
