@@ -116,7 +116,8 @@ def cmd_steady(config_path, numeric_only=False):
     """Print the equilibrium report for the configured bath and initial state."""
     cfg = load_config(config_path)
     block = build_block(cfg)
-    tau0 = tau_of(build_initial(cfg))
+    initial = build_initial(cfg)
+    tau0 = tau_of(initial)
 
     try:
         fam = stationary_family(block)
@@ -126,20 +127,18 @@ def cmd_steady(config_path, numeric_only=False):
         fam = None
 
     sol = liouvillian_null_space(block)
-    member = stationary_member(sol, tau0)
+    member = stationary_member(sol, initial)
     nullspace = {"dimension": sol["dimension"],
                  "full_rank_found": sol["full_rank_member"] is not None}
     if fam is None:
         report = {"closed_form_applicable": False,
                   "tau": tau0,
                   "nullspace": nullspace,
-                  "concurrence_numeric":
-                      None if member is None else concurrence(member)}
+                  "concurrence_numeric": concurrence(member)}
     else:
         closed = concurrence_closed(fam.M, fam.R, tau0)
         eq = equilibrium_components(tau0, fam)
-        nullspace["agreement_residual"] = (
-            None if member is None else float(np.abs(member - eq.state).max()))
+        nullspace["agreement_residual"] = float(np.abs(member - eq.state).max())
         report = {"closed_form_applicable": True,
                   "M": fam.M, "N": fam.N, "R": fam.R,
                   "Delta": closed["Delta"], "threshold": closed["threshold"],

@@ -88,9 +88,11 @@ def rhs_components(state, block):
 
 
 def _check_coefficient_matrix(C):
-    """C as a complex array, or ValueError unless it is finite, and Hermitian
-    and PSD within 1e-10."""
+    """C as a complex array, or ValueError unless it is 6x6, finite, and
+    Hermitian and PSD within 1e-10."""
     C = np.asarray(C, dtype=complex)
+    if C.shape != (6, 6):
+        raise ValueError(f"coefficient matrix has shape {C.shape}, not (6, 6)")
     if not np.isfinite(C).all():
         raise ValueError("coefficient matrix has non-finite entries")
     if np.abs(C - C.conj().T).max() > 1e-10:

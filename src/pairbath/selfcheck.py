@@ -16,8 +16,8 @@ from .config import run_seed
 from .entanglement import concurrence, generation_test, partial_transpose
 from .generator import (diagonal_form_check, evolve, lindblad_operators,
                         rhs_components, rhs_equal_blocks, rhs_general)
-from .pauli_algebra import (IDENT2, P_SINGLET, SIGMA, assemble_matrices,
-                            check_appendix_algebra, convert)
+from .pauli_algebra import (IDENT2, P_SINGLET, SIGMA, PauliCoefficients,
+                            assemble_matrices, check_appendix_algebra, convert)
 from .steady_state import (asymptotic_state, commutant_check,
                            equilibrium_components, liouvillian_null_space,
                            stationary_family, stationary_member)
@@ -30,12 +30,21 @@ def random_state(rng, rank=4):
     return rho / np.trace(rho).real
 
 
+def random_rotation(rng):
+    """Random rotation: sign-fixed QR of a Gaussian matrix, det +1."""
+    Q, R = np.linalg.qr(rng.normal(size=(3, 3)))
+    Q = Q * np.sign(np.diag(R))
+    if np.linalg.det(Q) < 0:
+        Q[:, 0] = -Q[:, 0]
+    return Q
+
+
 def random_block(rng, f_range=(0.05, 0.8)):
     """Random valid block: rates in [0.5, 2], B on a principal axis, strictly
     interior, the frame randomly rotated."""
     lam = rng.uniform(0.5, 2.0, 3)
     b = rng.uniform(*f_range) * np.sqrt(lam[0] * lam[1])
-    Q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    Q = random_rotation(rng)
     A = Q @ np.diag(lam) @ Q.T
     return make_bath(0.5 * (A + A.T), Q @ np.array([0.0, 0.0, b]))
 
@@ -125,7 +134,8 @@ def suite_nullspace_oracle(rng):
         if sol["full_rank_member"] is None:
             return False, "no full-rank member found at interior bath"
         for tau in (-2.5, 0.0, 0.9):
-            member = stationary_member(sol, tau)
+            start = PauliCoefficients(np.zeros(3), np.zeros(3), np.diag([tau / 3] * 3))
+            member = stationary_member(sol, start)
             eq = equilibrium_components(tau, fam)
             worst = max(worst, float(np.abs(member - eq.state).max()))
     return worst < 1e-9, f"max oracle-vs-closed-form deviation {worst:.2e}"

@@ -17,8 +17,7 @@ import numpy as np
 from .bath import assemble_full_C, herm_rank, principal_frame
 from .generator import compile_generator, lindblad_operators
 from .pauli_algebra import (P_SINGLET, PauliCoefficients, Q_TRIPLET, S_TOTAL,
-                            TAU_ENTRIES, assemble_matrices, convert,
-                            project_matrices, tau_of)
+                            TAU_ENTRIES, assemble_matrices, convert, tau_of)
 
 
 class ClosedFormNotApplicable(ValueError):
@@ -152,21 +151,21 @@ def asymptotic_state(initial, family):
     return EquilibriumState(tau=eq.tau, components=eq.components, state=rho_hat)
 
 
-def _line_search(vec, direction, lo, hi, iters=200):
+def _line_search(vec, direction, lo, hi):
     """Maximize the (concave) minimum eigenvalue along vec + t*direction.
 
-    Ternary search over [lo, hi] for at most `iters` steps.  The matrices on
-    the line form the affine pencil M0 + t*Md, with M0 the matrix of `vec`
-    and Md the traceless part of that of `direction`; both are assembled
-    once, and each step takes the smallest eigenvalues of its two probes
-    from one (2, 4, 4) stack.  The search stops at the bracket's fixed
-    point, the first step that leaves (lo, hi) unchanged: every later step
-    would evaluate the same two probes and make the same choice, so the
-    result is bit for bit that of all `iters` steps.
+    Ternary search over [lo, hi] for at most 200 steps.  The matrices on the
+    line form the affine pencil M0 + t*Md, with M0 the matrix of `vec` and
+    Md the traceless part of that of `direction`; both are assembled once,
+    and each step takes the smallest eigenvalues of its two probes from one
+    (2, 4, 4) stack.  The search stops at the bracket's fixed point, the
+    first step that leaves (lo, hi) unchanged: every later step would
+    evaluate the same two probes and make the same choice, so the result is
+    bit for bit that of all 200 steps.
     """
     m0, md = assemble_matrices(np.stack([vec, direction]))
     md -= np.eye(4) / 4
-    for _ in range(iters):
+    for _ in range(200):
         m1 = lo + (hi - lo) / 3
         m2 = hi - (hi - lo) / 3
         e1, e2 = np.linalg.eigvalsh(m0 + np.multiply.outer([m1, m2], md)).min(axis=-1)
@@ -182,30 +181,26 @@ def _line_search(vec, direction, lo, hi, iters=200):
     return vec + t * direction
 
 
-def _tau_step(point, d, tau):
-    """The t at which point + t d has correlation trace tau; d moves it."""
-    return (tau - point[TAU_ENTRIES].sum()) / d[TAU_ENTRIES].sum()
-
-
 def liouvillian_null_space(block):
     """Numerical oracle for the stationary set of a block.
 
-    Solves the affine system over the 15 real coefficients by singular-value
-    decomposition (relative threshold 1e-10), returning the dimension of
-    the solution set, an orthonormal basis of directions, and a member with
-    all eigenvalues above 1e-8 located by maximizing the minimum eigenvalue
-    over the set: one `_line_search` along the tau line when the set is a
-    line, otherwise four rounds of coordinate searches along the basis
-    directions.  Each search assembles two matrices for its whole line.
-    The full-rank member is None when the search fails, as it does on
-    boundary blocks whose stationary family is rank deficient (equal
-    transverse rates, for example); other boundary blocks, such as
-    lam = (1, 0.5, 0.2) with b^2 = lam1 lam2, keep a full-rank member.
+    Solves the affine system L x = -c0 over the 15 real coefficients by SVD
+    (relative threshold 1e-10).  Returns the dimension of the solution set,
+    an orthonormal basis of its directions (rows), the minimum-norm
+    particular solution p and the projector Pi = V (W^T V)^-1 W^T, V and W
+    the right and left null bases: the zero eigenvalue of a completely
+    positive generator is semisimple, so x0 tends to p + Pi (x0 - p).  The
+    member with all eigenvalues above 1e-8 maximizes the minimum eigenvalue
+    along the tau line (`_line_search`) when the set is a line, and is the
+    limit of I/4, p - Pi p, otherwise.  It is None when rank deficient, as on
+    boundary blocks whose stationary states all are (equal transverse rates,
+    for example); lam = (1, 0.5, 0.2) with b^2 = lam1 lam2 keeps one.
     """
     L, c0 = compile_generator(assemble_full_C(block))
     U, s, Vt = np.linalg.svd(L)
     cutoff = 1e-10 * (s[0] if s[0] > 0 else 1.0)
-    null_dirs = [Vt[k] for k in range(15) if s[k] <= cutoff]
+    null = s <= cutoff
+    V, W = Vt[null].T, U[:, null]
 
     # minimum-norm particular solution of L v = -c0 through the same SVD
     inv_s = np.array([1.0 / x if x > cutoff else 0.0 for x in s])
@@ -214,39 +209,33 @@ def liouvillian_null_space(block):
     if residual > 1e-8 * max(1.0, s[0]):
         raise RuntimeError(f"affine stationary system inconsistent "
                            f"(residual {residual:.3e}); invalid block?")
+    projector = V @ np.linalg.solve(W.T @ V, W.T)
 
-    member = particular
-    if len(null_dirs) == 1:
+    if V.shape[1] == 1:
         # tau is conserved and every tau in [-3, 1] has a stationary state,
         # so the line moves tau: parametrize by it and scan its range
-        d = null_dirs[0]
-        lo, hi = _tau_step(particular, d, -3.0), _tau_step(particular, d, 1.0)
-        member = _line_search(particular, d, min(lo, hi), max(lo, hi))
-    elif len(null_dirs) > 1:
-        for _ in range(4):
-            for d in null_dirs:
-                member = _line_search(member, d, -4.0, 4.0, iters=80)
+        d = V[:, 0]
+        t = (np.array([-3.0, 1.0]) - particular[TAU_ENTRIES].sum()) / d[TAU_ENTRIES].sum()
+        member = _line_search(particular, d, t.min(), t.max())
+    else:
+        member = particular - projector @ particular
 
     member = assemble_matrices(member)
     ok = np.linalg.eigvalsh(member).min() > 1e-8
-    return {"dimension": len(null_dirs),
-            "basis": null_dirs,
+    return {"dimension": V.shape[1],
+            "basis": V.T,
+            "particular": particular,
+            "projector": projector,
             "full_rank_member": member if ok else None}
 
 
-def stationary_member(sol, tau):
-    """Stationary state at correlation trace tau from the numerical oracle.
-
-    Moves the full-rank member of the `liouvillian_null_space` result `sol`
-    along its one-dimensional stationary line to the requested tau; the line
-    moves tau (see `liouvillian_null_space`).  Returns None when the set is
-    not one-dimensional or has no full-rank member.
+def stationary_member(sol, start):
+    """The state the start state `start` (PauliCoefficients) tends to, from
+    the `liouvillian_null_space` result `sol`: p + Pi (x0 - p) for its
+    coefficients x0, at any dimension of the stationary set.
     """
-    if sol["dimension"] != 1 or sol["full_rank_member"] is None:
-        return None
-    d = sol["basis"][0]
-    base = project_matrices(sol["full_rank_member"])
-    return assemble_matrices(base + _tau_step(base, d, tau) * d)
+    p = sol["particular"]
+    return assemble_matrices(p + sol["projector"] @ (start.as_vector() - p))
 
 
 def commutant_check(block):

@@ -6,7 +6,9 @@ any 6x6 coefficient matrix, propagated by scipy's matrix exponential stand
 against the production propagator, the numpy exponential of the compiled
 15-coefficient generator, and an exact X-state concurrence stands against
 the singular-value route.  Only `make_bath` and `KossakowskiBlock` are
-borrowed, as the container the API under test expects.
+borrowed, as the container the API under test expects, and the samplers
+`random_state`, `random_rotation` and `random_block`, taken from
+`pairbath.selfcheck` so that `check` and the tests draw from one copy.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 import scipy.linalg
 
 from pairbath.bath import KossakowskiBlock, make_bath
+from pairbath.selfcheck import random_block, random_rotation, random_state
 from pairbath.steady_state import stationary_family as _stationary_family
 
 # ---------------------------------------------------------------- operators
@@ -117,12 +120,6 @@ def trace_distance(a, b):
 
 # ---------------------------------------------------------------- generators
 
-def random_state(rng, rank=4):
-    X = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
-    rho = X @ X.conj().T
-    return rho / np.trace(rho).real
-
-
 def random_xstate(rng):
     p = rng.dirichlet(np.ones(4))
     z14 = rng.uniform(0, 1) * np.sqrt(p[0] * p[3]) * np.exp(2j * np.pi * rng.uniform())
@@ -131,29 +128,6 @@ def random_xstate(rng):
     rho[0, 3], rho[3, 0] = z14, np.conj(z14)
     rho[1, 2], rho[2, 1] = z23, np.conj(z23)
     return rho
-
-
-def random_rotation(rng):
-    Q, R = np.linalg.qr(rng.normal(size=(3, 3)))
-    Q = Q * np.sign(np.diag(R))
-    if np.linalg.det(Q) < 0:
-        Q[:, 0] = -Q[:, 0]
-    return Q
-
-
-def random_aligned_bath(rng, f_range=(0.05, 0.8), lam_range=(0.5, 2.0),
-                        rotate=True):
-    """Valid block with B on a principal axis (closed form applies)."""
-    lam = rng.uniform(*lam_range, 3)
-    b = rng.uniform(*f_range) * np.sqrt(lam[0] * lam[1])
-    A = np.diag(lam)
-    B = np.array([0.0, 0.0, b])
-    if rotate:
-        Q = random_rotation(rng)
-        A = Q @ A @ Q.T
-        A = 0.5 * (A + A.T)
-        B = Q @ B
-    return make_bath(A, B)
 
 
 def random_offaxis_bath(rng):
@@ -188,7 +162,7 @@ def closed_form_exact_ensemble(rng, n, f_range=(0.05, 0.8)):
     for every tau (the antidiagonal channel never wins)."""
     out = []
     while len(out) < n:
-        blk = random_aligned_bath(rng, f_range=f_range)
+        blk = random_block(rng, f_range=f_range)
         fam = _stationary_family(blk)
         if 8 * abs(fam.N) <= 0.999 * (1 - 2 * fam.R):
             out.append((blk, fam))

@@ -20,7 +20,7 @@ from pairbath.pauli_algebra import (P_SINGLET, PauliCoefficients,
 from pairbath.steady_state import (asymptotic_state, equilibrium_components,
                                    liouvillian_null_space, stationary_family)
 
-from conftest import (closed_form_exact_ensemble, random_aligned_bath,
+from conftest import (closed_form_exact_ensemble, random_block,
                       random_ket, random_offaxis_bath, random_state,
                       trace_distance)
 
@@ -38,7 +38,7 @@ def _report(num, ok, label):
 
 def _random_bath(rng):
     if rng.uniform() < 0.6:
-        return random_aligned_bath(rng)
+        return random_block(rng)
     return random_offaxis_bath(rng)
 
 
@@ -93,7 +93,7 @@ def test_criterion_04_closed_form_stationarity():
     rng = _rng(4)
     worst = 0.0
     for _ in range(100):
-        blk = random_aligned_bath(rng)
+        blk = random_block(rng)
         fam = stationary_family(blk)
         worst = max(worst, float(np.abs(rhs_equal_blocks(fam.rho0_hat, blk)).max()))
     assert _report(4, worst < 1e-12,
@@ -105,7 +105,7 @@ def test_criterion_05_asymptotic_convergence():
     rng = _rng(5)
     worst = 0.0
     for _ in range(20):
-        blk = random_aligned_bath(rng)
+        blk = random_block(rng)
         fam = stationary_family(blk)
         rho0 = convert(random_state(rng))
         tr = evolve(rho0, blk, sample_every=100000)
@@ -204,7 +204,7 @@ def test_criterion_09_nullspace_oracle():
     worst = 0.0
     dims_ok = True
     for _ in range(25):
-        blk = random_aligned_bath(rng)
+        blk = random_block(rng)
         fam = stationary_family(blk)
         sol = liouvillian_null_space(blk)
         dims_ok = dims_ok and sol["dimension"] == 1 \
@@ -233,7 +233,7 @@ def test_criterion_10_isolated_fixed_point():
     worst_fix = 0.0
     below_one = True
     for _ in range(5):
-        fam = stationary_family(random_aligned_bath(rng))
+        fam = stationary_family(random_block(rng))
         worst_fix = max(worst_fix, trace_distance(
             asymptotic_state(singlet, fam).state, p_matrix))
         for s in np.linspace(0.01, 0.74, 8):

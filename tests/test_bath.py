@@ -17,7 +17,7 @@ from pairbath.steady_state import (ClosedFormNotApplicable,
                                    equilibrium_components,
                                    liouvillian_null_space, stationary_family)
 
-from conftest import (kossakowski_matrix, random_aligned_bath,
+from conftest import (kossakowski_matrix, random_block,
                       random_offaxis_bath, random_rotation)
 
 
@@ -86,7 +86,7 @@ def test_boundary_flag():
 
 
 def test_assemble_full_C(rng):
-    blk = random_aligned_bath(rng)
+    blk = random_block(rng)
     C = assemble_full_C(blk)
     assert C.shape == (6, 6)
     for r in range(2):
@@ -99,7 +99,7 @@ def test_assemble_full_C(rng):
 
 def test_principal_frame_generic(rng):
     for _ in range(15):
-        blk = random_aligned_bath(rng)
+        blk = random_block(rng)
         fr = principal_frame(blk)
         assert fr.closed_form_applicable
 
@@ -181,7 +181,7 @@ def test_planar_degeneracy_B_out_of_plane_not_applicable(rng):
 
 
 def test_frame_deterministic(rng):
-    blk = random_aligned_bath(rng)
+    blk = random_block(rng)
     f1 = principal_frame(blk)
     f2 = principal_frame(blk)
     assert np.array_equal(f1.aligned_rotation, f2.aligned_rotation)

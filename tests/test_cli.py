@@ -426,6 +426,19 @@ def test_steady_report(tmp_path, capsys):
     assert report["concurrence_closed"] > 0
 
 
+def test_steady_boundary_bath_without_full_rank_member(tmp_path, capsys):
+    # every stationary state of this saturated bath is rank deficient; the
+    # numerical limit of the start state still matches the closed form
+    cfg = write_config(tmp_path, {
+        "bath": {"lambda": [1.0, 1.0, 0.7], "B": [0, 0, 1.0]},
+        "initial": {"werner": {"s": 0.25}}})
+    with pytest.warns(UserWarning, match="saturates"):
+        assert cli.main(["steady", "--config", cfg]) == 0
+    nullspace = json.loads(capsys.readouterr().out)["nullspace"]
+    assert nullspace["full_rank_found"] is False
+    assert nullspace["agreement_residual"] <= 1e-9
+
+
 def test_steady_zero_vector(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "bath": {"lambda": [1.0, 0.7, 0.4], "B": [0, 0, 0]},
@@ -452,15 +465,16 @@ def test_steady_off_axis_exit_3(tmp_path, capsys):
 
 PHI_MINUS = {"pauli": {"r0i": [0, 0, 0], "ri0": [0, 0, 0],
                        "rij": [[-1, 0, 0], [0, 1, 0], [0, 0, 1]]}}
-# baths whose herm has rank 1: more is conserved than tau
-RANK_ONE_BATHS = {"lambda=(1,0,0)": ({"lambda": [1, 0, 0], "B": [0, 0, 0]}, 5),
+# baths whose herm has rank 1: more is conserved than tau; with the null
+# space's dimension and the concurrence Phi- tends to
+RANK_ONE_BATHS = {"lambda=(1,0,0)": ({"lambda": [1, 0, 0], "B": [0, 0, 0]}, 5, 1.0),
                   "lambda=(1,0.5,0)": ({"lambda": [1, 0.5, 0],
-                                        "B": [0, 0, 0.5 ** 0.5]}, 3)}
+                                        "B": [0, 0, 0.5 ** 0.5]}, 3, 1 / 3)}
 
 
 @pytest.mark.parametrize("name", RANK_ONE_BATHS)
 def test_rank_one_bath_exit_3(tmp_path, capsys, name):
-    bath, dimension = RANK_ONE_BATHS[name]
+    bath, dimension, c_limit = RANK_ONE_BATHS[name]
     cfg = write_config(tmp_path, {"bath": bath, "initial": PHI_MINUS})
     out = tmp_path / "x.csv"
     assert cli.main(["steady", "--config", cfg]) == 3
@@ -473,12 +487,13 @@ def test_rank_one_bath_exit_3(tmp_path, capsys, name):
     report = json.loads(capsys.readouterr().out)
     assert not report["closed_form_applicable"]
     assert report["nullspace"]["dimension"] == dimension
+    assert abs(report["concurrence_numeric"] - c_limit) <= 1e-12
 
 
 def test_rank_one_bath_keeps_decoherence_free_state(tmp_path):
     # collective sigma_x leaves the Bell state Phi- alone: its concurrence
     # stays 1, where the tau-only closed form would give 0
-    bath, _ = RANK_ONE_BATHS["lambda=(1,0,0)"]
+    bath, _, _ = RANK_ONE_BATHS["lambda=(1,0,0)"]
     cfg = load_config(write_config(tmp_path, {"bath": bath, "initial": PHI_MINUS,
                                               "integrator": {"t_end": 50.0}}))
     tr = evolve(build_initial(cfg), build_block(cfg), t_end=50.0,

@@ -11,7 +11,7 @@ from pairbath.entanglement import (concurrence, concurrence_closed,
 from pairbath.generator import evolve
 from pairbath.pauli_algebra import P_SINGLET, convert
 
-from conftest import (random_aligned_bath, random_ket, random_state,
+from conftest import (random_block, random_ket, random_state,
                       random_xstate, xstate_concurrence)
 
 
@@ -279,7 +279,7 @@ def test_generation_requires_bath_vector():
 
 
 def test_generation_phase_invariance(rng):
-    blk = random_aligned_bath(rng)
+    blk = random_block(rng)
     phi, psi = random_ket(rng), random_ket(rng)
     v0 = generation_test(phi, psi, blk)
     v1 = generation_test(np.exp(0.73j) * phi, np.exp(-1.2j) * psi, blk)
@@ -298,7 +298,7 @@ def test_generation_predicts_short_time_negativity(rng):
     for _ in range(120):
         if confirmed >= 8:
             break
-        blk = random_aligned_bath(rng)
+        blk = random_block(rng)
         phi, psi = random_ket(rng), random_ket(rng)
         verdict = generation_test(phi, psi, blk)
         if not verdict.generated:

@@ -23,10 +23,9 @@ from pairbath.generator import (_F_OPS, _THETA, RECORD_CHUNK, STRIDE_BLOCK,
 from pairbath.pauli_algebra import (EXPANSION, IDENT2, P_SINGLET, SIGMA,
                                     TAU_ENTRIES, PauliCoefficients,
                                     assemble_matrices, convert, tau_of)
-from pairbath.selfcheck import random_block
 
 from conftest import (non_cp_block, oracle_general_propagate, oracle_propagate,
-                      oracle_rhs, random_aligned_bath, random_ket,
+                      oracle_rhs, random_block, random_ket,
                       random_offaxis_bath, random_psd_C, random_state,
                       trace_distance)
 
@@ -39,7 +38,7 @@ def _components_as_matrix(coeffs, block):
 def test_all_forms_match_oracle(rng):
     worst = 0.0
     for _ in range(30):
-        blk = random_aligned_bath(rng) if rng.uniform() < 0.5 else random_offaxis_bath(rng)
+        blk = random_block(rng) if rng.uniform() < 0.5 else random_offaxis_bath(rng)
         rho = random_state(rng)
         reference = oracle_rhs(rho, blk.A, blk.B)
         worst = max(
@@ -60,7 +59,7 @@ def test_diagonal_form_at_boundary(rng):
 
 def test_rhs_components_is_trace_free(rng):
     for _ in range(20):
-        blk = random_aligned_bath(rng)
+        blk = random_block(rng)
         d = rhs_components(convert(random_state(rng)), blk)
         # the correlation trace never moves, structurally
         assert abs(np.trace(d.rij)) < 1e-12
@@ -87,9 +86,19 @@ def test_non_finite_coefficient_matrix_is_rejected(entries, value):
         evolve(convert(np.eye(4) / 4), C, t_end=1.0, dt=0.1)
 
 
+@pytest.mark.parametrize("n", [5, 7])
+def test_coefficient_matrix_of_wrong_shape_is_rejected(n):
+    # a 7x7 C would otherwise compile a wrong generator with no error
+    match = re.escape(f"shape ({n}, {n}), not (6, 6)")
+    with pytest.raises(ValueError, match=match):
+        rhs_general(np.eye(4, dtype=complex) / 4, np.eye(n))
+    with pytest.raises(ValueError, match=match):
+        evolve(convert(np.eye(4) / 4), np.eye(n), t_end=1.0, dt=0.1)
+
+
 def test_evolve_matches_exponential_oracle(rng):
     for _ in range(4):
-        blk = random_aligned_bath(rng)
+        blk = random_block(rng)
         rho0 = random_state(rng)
         t_end = 3.0
         tr = evolve(convert(rho0), blk, t_end=t_end, dt=0.005, sample_every=100)
@@ -98,7 +107,7 @@ def test_evolve_matches_exponential_oracle(rng):
 
 
 def test_evolve_sampling_grid(rng):
-    blk = random_aligned_bath(rng)
+    blk = random_block(rng)
     tr = evolve(convert(random_state(rng)), blk, t_end=1.0, dt=0.01,
                 sample_every=10)
     assert tr.times[0] == 0.0
@@ -115,7 +124,7 @@ def test_evolve_sampling_grid(rng):
 def test_evolve_samples_match_expm_oracle(rng, sample_every):
     # 703 steps: neither 7 nor 100 divides it, so the last stride is partial
     dt, n_steps = 0.01, 703
-    for blk in (random_aligned_bath(rng), random_offaxis_bath(rng)):
+    for blk in (random_block(rng), random_offaxis_bath(rng)):
         rho0 = random_state(rng)
         tr = evolve(convert(rho0), blk, t_end=n_steps * dt, dt=dt,
                     sample_every=sample_every)
@@ -154,7 +163,7 @@ def test_final_map_is_the_last_sample(rng, t_end):
     # t_f is the last time evolve samples, and one exponential to it matches
     # the oracle there; at t_end = 350 the map's squarings allow 1e-11
     tol = 1e-11 if t_end == 350.0 else 1e-12
-    for blk in (random_aligned_bath(rng), random_offaxis_bath(rng)):
+    for blk in (random_block(rng), random_offaxis_bath(rng)):
         rho0 = random_state(rng)
         dt = None if t_end is None else 0.01
         M, t_f = final_map(blk, t_end=t_end, dt=dt)
@@ -182,7 +191,7 @@ def test_batched_recording_matches_per_sample(rng, sample_every):
               convert(random_state(rng, rank=1)),
               PauliCoefficients([0, 0, -1], [0, 0, 1], np.diag([0.0, 0.0, -1.0])),
               convert(random_state(rng))]
-    for blk in (random_offaxis_bath(rng), random_aligned_bath(rng)):
+    for blk in (random_offaxis_bath(rng), random_block(rng)):
         dt = 0.01 / rate_scale(blk)
         for start in starts:
             tr = evolve(start, blk, t_end=n_steps * dt, dt=dt,
@@ -202,7 +211,7 @@ def test_batched_recording_matches_per_sample(rng, sample_every):
 def test_blocked_strides_match_sequential_products(rng, n_steps, sample_every):
     # 75 and 5000 strides with no rest, then 107 and 714 strides with a
     # rest of 4 and 5 steps; no stride count is a multiple of STRIDE_BLOCK
-    for blk in (random_aligned_bath(rng), random_offaxis_bath(rng)):
+    for blk in (random_block(rng), random_offaxis_bath(rng)):
         dt = 0.01 / rate_scale(blk)
         for n, every in ((n_steps, sample_every), (n_steps + 3, 7)):
             n_strides, rest = divmod(n, every)
@@ -325,7 +334,7 @@ def test_evolve_compiles_generator_once(rng, monkeypatch):
     _generator_tensor()
     assert calls == [(16, 4, 4)] * 36
     calls.clear()
-    evolve(convert(random_state(rng)), random_aligned_bath(rng))
+    evolve(convert(random_state(rng)), random_block(rng))
     evolve(convert(random_state(rng)), random_psd_C(rng, 6), t_end=0.1, dt=0.01)
     assert calls == []
 
@@ -443,7 +452,7 @@ def test_evolve_assembles_and_measures_each_chunk_once(rng, monkeypatch):
             return fn(mats)
         monkeypatch.setattr(f"pairbath.generator.{name}", counting)
     # 601 samples span three RECORD_CHUNK batches
-    blk = random_aligned_bath(rng)
+    blk = random_block(rng)
     dt = 0.01 / rate_scale(blk)
     tr = evolve(convert(random_state(rng)), blk, t_end=600 * dt, dt=dt,
                 sample_every=1)
@@ -458,7 +467,7 @@ def test_evolve_assembles_and_measures_each_chunk_once(rng, monkeypatch):
 def test_observables_are_computed_on_first_read(rng, monkeypatch, first):
     # by the first read every column is already recorded: reading one
     # computes nothing, and it equals its direct per-sample evaluation
-    blk = random_aligned_bath(rng)
+    blk = random_block(rng)
     dt = 0.01 / rate_scale(blk)
     tr = evolve(convert(random_state(rng)), blk, t_end=600 * dt, dt=dt,
                 sample_every=1)
@@ -487,7 +496,7 @@ def test_evolve_default_horizon_scales(rng):
 
 
 def test_evolve_rejects_bad_grid(rng):
-    blk = random_aligned_bath(rng)
+    blk = random_block(rng)
     state = convert(random_state(rng))
     with pytest.raises(ValueError):
         evolve(state, blk, t_end=-1.0)
@@ -513,14 +522,14 @@ def test_unstable_step_raises(rng):
 
 def test_tau_conserved_along_trajectories(rng):
     for _ in range(5):
-        blk = random_aligned_bath(rng)
+        blk = random_block(rng)
         tr = evolve(convert(random_state(rng)), blk, t_end=10.0, dt=0.01,
                     sample_every=100)
         assert np.abs(tr.tau - tr.tau[0]).max() < 1e-10
 
 
 def test_trace_error_stays_tiny(rng):
-    blk = random_aligned_bath(rng)
+    blk = random_block(rng)
     tr = evolve(convert(random_state(rng)), blk, t_end=10.0, dt=0.01,
                 sample_every=100)
     assert tr.trace_err.max() < 1e-12
@@ -529,7 +538,7 @@ def test_trace_error_stays_tiny(rng):
 def test_antisymmetric_components_decay(rng):
     # generic positive rates push r0i - ri0 and rij - rji to zero by t = 50
     for _ in range(3):
-        blk = random_aligned_bath(rng)
+        blk = random_block(rng)
         tr = evolve(convert(random_state(rng)), blk, sample_every=10 ** 6)
         last = PauliCoefficients.from_vector(tr.coeffs[-1])
         assert np.abs(last.r0i - last.ri0).max() < 1e-8
@@ -538,7 +547,7 @@ def test_antisymmetric_components_decay(rng):
 
 def test_symmetric_sector_is_invariant(rng):
     # a symmetric initial state stays symmetric along the whole trajectory
-    blk = random_aligned_bath(rng)
+    blk = random_block(rng)
     r = rng.uniform(-0.2, 0.2, 3)
     m = rng.uniform(-0.2, 0.2, (3, 3))
     start = PauliCoefficients(r, r.copy(), (m + m.T) / 4)
@@ -560,7 +569,7 @@ def test_decoupled_blocks_break_tau_conservation():
 
 
 def test_general_form_reduces_to_equal_blocks(rng):
-    blk = random_aligned_bath(rng)
+    blk = random_block(rng)
     rho = random_state(rng)
     assert np.abs(rhs_general(rho, assemble_full_C(blk))
                   - rhs_equal_blocks(rho, blk)).max() < 1e-12
@@ -579,6 +588,6 @@ def test_zero_block_is_static(rng):
        st.integers(0, 10 ** 6))
 def test_component_derivative_preserves_tau_property(v, seed):
     rng = np.random.default_rng(seed)
-    blk = random_aligned_bath(rng)
+    blk = random_block(rng)
     d = rhs_components(PauliCoefficients.from_vector(v), blk)
     assert abs(np.trace(d.rij)) < 1e-11

@@ -17,11 +17,12 @@ from pairbath.pauli_algebra import (P_SINGLET, PauliCoefficients, Q_TRIPLET,
 from pairbath.steady_state import (ClosedFormNotApplicable, _line_search,
                                    asymptotic_state, commutant_check,
                                    equilibrium_components,
-                                   liouvillian_null_space, stationary_family)
+                                   liouvillian_null_space, stationary_family,
+                                   stationary_member)
 
-from conftest import (oracle_rhs, oracle_superoperator, random_aligned_bath,
-                      random_offaxis_bath, random_rotation, random_state,
-                      trace_distance)
+from conftest import (oracle_propagate, oracle_rhs, oracle_superoperator,
+                      random_block, random_offaxis_bath, random_rotation,
+                      random_state, trace_distance)
 
 MM = np.eye(4, dtype=complex) / 4
 
@@ -49,7 +50,7 @@ def test_family_zero_vector_is_maximally_mixed():
 
 def test_family_reference_state_is_stationary(rng):
     for _ in range(25):
-        blk = random_aligned_bath(rng)
+        blk = random_block(rng)
         fam = stationary_family(blk)
         # against the production generator and the independent superoperator
         assert np.abs(rhs_equal_blocks(fam.rho0_hat, blk)).max() < 1e-12
@@ -58,7 +59,7 @@ def test_family_reference_state_is_stationary(rng):
 
 def test_family_full_rank_interior(rng):
     for _ in range(10):
-        blk = random_aligned_bath(rng, f_range=(0.05, 0.9))
+        blk = random_block(rng, f_range=(0.05, 0.9))
         fam = stationary_family(blk)
         assert np.linalg.eigvalsh(fam.rho0_hat).min() > 1e-4
 
@@ -97,7 +98,7 @@ def test_family_boundary_with_unequal_rates_is_full_rank():
 
 def test_constraints_on_random_baths(rng):
     for _ in range(1000):
-        fam = stationary_family(random_aligned_bath(rng, f_range=(0.0, 0.999)))
+        fam = stationary_family(random_block(rng, f_range=(0.0, 0.999)))
         assert -1e-12 <= 2 * fam.R <= 1 + 1e-12
         assert fam.M ** 2 <= 2 * fam.R + 1e-12
         assert fam.M ** 2 + 4 * fam.N ** 2 <= 1 + 1e-12
@@ -120,7 +121,7 @@ def test_equilibrium_components_examples():
 
 
 def test_equilibrium_components_symmetric_and_stationary(rng):
-    blk = random_aligned_bath(rng)
+    blk = random_block(rng)
     fam = stationary_family(blk)
     for tau in (-3.0, -1.3, 0.0, 2 * fam.R, 1.0):
         eq = equilibrium_components(tau, fam)
@@ -147,7 +148,7 @@ def test_equilibrium_rejects_bad_tau():
 
 def test_asymptotic_singlet_is_fixed(rng):
     for _ in range(5):
-        fam = stationary_family(random_aligned_bath(rng))
+        fam = stationary_family(random_block(rng))
         out = asymptotic_state(convert(P_SINGLET), fam)
         assert trace_distance(out.state, P_SINGLET) < 1e-12
 
@@ -167,7 +168,7 @@ def test_asymptotic_state_examples():
 
 def test_asymptotic_matches_long_time_evolution(rng):
     for _ in range(4):
-        blk = random_aligned_bath(rng)
+        blk = random_block(rng)
         fam = stationary_family(blk)
         rho0 = random_state(rng)
         target = asymptotic_state(convert(rho0), fam).state
@@ -176,7 +177,7 @@ def test_asymptotic_matches_long_time_evolution(rng):
 
 
 def test_asymptotic_accepts_matrix_or_coefficients(rng):
-    fam = stationary_family(random_aligned_bath(rng))
+    fam = stationary_family(random_block(rng))
     rho0 = random_state(rng)
     a = asymptotic_state(rho0, fam).state
     b = asymptotic_state(convert(rho0), fam).state
@@ -185,7 +186,7 @@ def test_asymptotic_accepts_matrix_or_coefficients(rng):
 
 def test_nullspace_generic_dimension_and_match(rng):
     for _ in range(10):
-        blk = random_aligned_bath(rng)
+        blk = random_block(rng)
         fam = stationary_family(blk)
         sol = liouvillian_null_space(blk)
         assert sol["dimension"] == 1
@@ -224,7 +225,7 @@ def _search_lines(rng):
         d = rng.normal(size=15)
         lines.append((convert(random_state(rng)).as_vector(), d / np.linalg.norm(d),
                       -rng.uniform(0.1, 4), rng.uniform(0.1, 4)))
-    for blk in (random_aligned_bath(rng), random_offaxis_bath(rng)):
+    for blk in (random_block(rng), random_offaxis_bath(rng)):
         sol = liouvillian_null_space(blk)
         lines.append((convert(sol["full_rank_member"]).as_vector(), sol["basis"][0],
                       -1.0, 1.0))
@@ -267,34 +268,27 @@ def test_line_search_matches_one_probe_at_a_time(rng):
         return lambda t: np.linalg.eigvalsh(m0 + t * md).min()
 
     for vec, d, lo, hi in _search_lines(rng):
-        for iters in (80, 200):
-            got = _line_search(vec, d, lo, hi, iters)
-            # the same maximum as the search over assembled probes
-            t = _ternary_one_probe_at_a_time(assembled(vec, d), lo, hi, iters)
-            assert abs(min_eig(got) - min_eig(vec + t * d)) <= 1e-13
-            # bit for bit the pencil probed one matrix at a time
-            t = _ternary_one_probe_at_a_time(pencil(vec, d), lo, hi, iters)
-            assert got.tobytes() == (vec + t * d).tobytes()
+        got = _line_search(vec, d, lo, hi)
+        # the same maximum as the search over assembled probes
+        t = _ternary_one_probe_at_a_time(assembled(vec, d), lo, hi, 200)
+        assert abs(min_eig(got) - min_eig(vec + t * d)) <= 1e-13
+        # bit for bit the pencil probed one matrix at a time
+        t = _ternary_one_probe_at_a_time(pencil(vec, d), lo, hi, 200)
+        assert got.tobytes() == (vec + t * d).tobytes()
 
 
 def test_line_search_stops_at_fixed_point(rng, monkeypatch):
-    # the tau line liouvillian_null_space searches, run with no step limit
+    # the search of the tau line liouvillian_null_space hands it reaches
+    # its fixed point well inside the 200-step cap
     lines, line_search = [], steady_state._line_search
     monkeypatch.setattr(steady_state, "_line_search",
                         lambda *args: lines.append(args) or line_search(*args))
     liouvillian_null_space(random_offaxis_bath(rng))
     (vec, d, lo, hi), = lines
     calls = []
-
-    def counted(stack):
-        calls.append(len(stack))
-        assert len(calls) <= 150, "no fixed point within 150 steps"
-
-    _wrap_eigvalsh(monkeypatch, counted)
-    got = line_search(vec, d, lo, hi, iters=10**6)
+    _wrap_eigvalsh(monkeypatch, lambda stack: calls.append(len(stack)))
+    line_search(vec, d, lo, hi)
     assert len(calls) <= 150 and set(calls) == {2}
-    monkeypatch.undo()
-    assert got.tobytes() == line_search(vec, d, lo, hi, iters=200).tobytes()
 
 
 def test_nullspace_works_off_axis(rng):
@@ -329,7 +323,7 @@ def test_stationary_line_moves_tau(lam, direction, aligned, f, seed):
 def test_nullspace_dimension_matches_superoperator_kernel(rng):
     # the 16x16 oracle has kernel dimension (affine dim + 1): the line's
     # direction plus its base point lift to two independent kernel vectors
-    blk = random_aligned_bath(rng)
+    blk = random_block(rng)
     L = oracle_superoperator(blk.A, blk.B)
     s = np.linalg.svd(L, compute_uv=False)
     kernel_dim = int(np.sum(s < 1e-10 * s[0]))
@@ -337,10 +331,31 @@ def test_nullspace_dimension_matches_superoperator_kernel(rng):
     assert kernel_dim == sol["dimension"] + 1
 
 
-def test_nullspace_zero_block():
+def test_nullspace_zero_block(monkeypatch):
+    # every state is stationary: the member is read off the map, not searched
+    calls, line_search = [], steady_state._line_search
+    monkeypatch.setattr(steady_state, "_line_search",
+                        lambda *args: calls.append(args) or line_search(*args))
     sol = liouvillian_null_space(make_bath(np.zeros((3, 3)), np.zeros(3)))
     assert sol["dimension"] == 15
     assert np.abs(sol["full_rank_member"] - MM).max() < 1e-12
+    assert calls == []
+
+
+@pytest.mark.parametrize("lam, B, dimension", [
+    ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 15),
+    ((1.0, 0.0, 0.0), (0.0, 0.0, 0.0), 5),
+    ((1.0, 0.5, 0.0), (0.0, 0.0, np.sqrt(0.5)), 3),
+    ((1.0, 0.7, 0.4), (0.0, 0.0, 0.3), 1),
+], ids=["zero", "rank1", "rank1-saturated", "interior"])
+def test_stationary_member_is_the_long_time_limit(rng, lam, B, dimension):
+    blk = make_bath(np.diag(lam), B)
+    sol = liouvillian_null_space(blk)
+    assert sol["dimension"] == dimension
+    for _ in range(3):
+        rho0 = random_state(rng)
+        limit = oracle_propagate(rho0, blk.A, blk.B, 2000.0)
+        assert np.abs(stationary_member(sol, convert(rho0)) - limit).max() <= 1e-10
 
 
 def test_nullspace_boundary_family_has_no_interior_member():
@@ -355,7 +370,7 @@ def test_nullspace_boundary_family_has_no_interior_member():
 
 def test_commutant(rng):
     for _ in range(10):
-        res = commutant_check(random_aligned_bath(rng))
+        res = commutant_check(random_block(rng))
         assert res["contains_S"]
         assert max(res["residuals"]) < 1e-12
     res = commutant_check(random_offaxis_bath(rng))
