@@ -5,10 +5,11 @@ can cross-check each other: the matrix form over the collective operators,
 the 15 coupled component equations, the diagonal form through the square
 root of the bath block, and the general form over any 6x6 Hermitian
 coefficient matrix C (a common bath is C = `assemble_full_C(block)`).  The
-only production form is the affine one of `compile_generator`, used by
-`evolve` and the null-space solver: one contraction of the 36 real
-parameters of C with a tensor built once, on first use, from 36 stacked
-evaluations of the general form, one per unit Hermitian matrix.
+only production form is the 16x16 affine generator G on [c, 1] of
+`compile_generator`, exponentiated by `evolve` and `final_map` and split
+into its stationary projector by the null-space solver: one contraction of
+the 36 real parameters of C with a tensor built once, on first use, from 36
+stacked evaluations of the general form, one per unit Hermitian matrix.
 """
 
 import math
@@ -158,17 +159,21 @@ def _generator_tensor():
 
 
 def compile_generator(C):
-    """15x15 matrix L and offset c0 with d(coeffs)/dt = L coeffs + c0.
+    """The 16x16 affine generator G = [[L, c0], [0, 0]] acting on [c, 1].
 
-    C is a Hermitian 6x6 coefficient matrix, such as `assemble_full_C` of a
-    bath block; only its diagonal and upper triangle are read.  The
-    generator is linear in the 36 real parameters of C, so [L | c0] is one
-    contraction of them with `_generator_tensor`.  This is the only
-    production form of the generator; `rhs_components` is a check.
+    d[c, 1]/dt = G [c, 1] is dc/dt = L c + c0 over the 15 coefficients, and
+    the last row is zero.  C is a Hermitian 6x6 coefficient matrix, such as
+    `assemble_full_C` of a bath block; only its diagonal and upper triangle
+    are read.  The generator is linear in the 36 real parameters of C, so
+    [L | c0] is one contraction of them with `_generator_tensor`.  This is
+    the only production form of the generator, exponentiated by
+    `_step_matrix` and split by `liouvillian_null_space`; `rhs_components`
+    is a check.
     """
     theta = np.ascontiguousarray(C, dtype=complex).view(float).ravel()[_THETA]
-    G = (theta @ _generator_tensor().reshape(36, 240)).reshape(15, 16)
-    return G[:, :15], G[:, 15]
+    G = np.zeros((16, 16))
+    G[:15] = (theta @ _generator_tensor().reshape(36, 240)).reshape(15, 16)
+    return G
 
 
 def lindblad_operators(block):
@@ -240,9 +245,9 @@ def _stride_powers(stride, count):
 _TAYLOR = 1 / np.array([math.factorial(k) for k in range(20)], dtype=float).reshape(4, 5)
 
 
-def _step_matrix(L, c0, dt):
-    """exp(dt G), G = [[L, c0], [0, 0]]: the exact step of dc/dt = L c + c0
-    as a 16x16 matrix acting on [c, 1].
+def _step_matrix(G, dt):
+    """exp(dt G), G the affine generator of `compile_generator`: the exact
+    step of dc/dt = L c + c0 as a 16x16 matrix acting on [c, 1].
 
     Scaling and squaring (Moler & Van Loan, SIAM Review 45, 3, 2003): the
     degree-19 Taylor polynomial, truncation error below 1e-18, at X =
@@ -253,8 +258,6 @@ def _step_matrix(L, c0, dt):
     1973): seven matrix products.  Raises ValueError when dt |G|_1 is past
     2^1023, infinite included.
     """
-    G = np.zeros((16, 16))
-    G[:15] = np.column_stack((L, c0))
     norm = dt * np.abs(G).sum(axis=0).max()
     if not norm <= 2.0 ** 1023:  # else 2^s is past the float range
         raise ValueError(f"step {dt:g} times the generator's 1-norm, {norm:g}, "
@@ -337,7 +340,7 @@ def final_map(bath, t_end=None, dt=None):
     """
     C, dt, n = _horizon(bath, t_end, dt)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _step_matrix(*compile_generator(C), n * dt), n * dt
+        return _step_matrix(compile_generator(C), n * dt), n * dt
 
 
 def evolve(initial, bath, t_end=None, dt=None, sample_every=10):
@@ -383,7 +386,7 @@ def evolve(initial, bath, t_end=None, dt=None, sample_every=10):
     Y[0] = np.append(initial.as_vector(), 1.0)
     # a generator that is not completely positive can overflow: see _check_samples
     with np.errstate(over="ignore", invalid="ignore"):
-        step = _step_matrix(*compile_generator(C), dt)
+        step = _step_matrix(compile_generator(C), dt)
         powers = _stride_powers(np.linalg.matrix_power(step, sample_every),
                                 min(STRIDE_BLOCK, n_strides))
         for k in range(0, n_strides, STRIDE_BLOCK):

@@ -184,58 +184,54 @@ def _line_search(vec, direction, lo, hi):
 def liouvillian_null_space(block):
     """Numerical oracle for the stationary set of a block.
 
-    Solves the affine system L x = -c0 over the 15 real coefficients by SVD
-    (relative threshold 1e-10).  Returns the dimension of the solution set,
-    an orthonormal basis of its directions (rows), the minimum-norm
-    particular solution p and the projector Pi = V (W^T V)^-1 W^T, V and W
-    the right and left null bases: the zero eigenvalue of a completely
-    positive generator is semisimple, so x0 tends to p + Pi (x0 - p).  The
-    member with all eigenvalues above 1e-8 maximizes the minimum eigenvalue
-    along the tau line (`_line_search`) when the set is a line, and is the
-    limit of I/4, p - Pi p, otherwise.  It is None when rank deficient, as on
-    boundary blocks whose stationary states all are (equal transverse rates,
-    for example); lam = (1, 0.5, 0.2) with b^2 = lam1 lam2 keeps one.
+    Takes the SVD of the affine generator G on [c, 1] of `compile_generator`
+    (relative threshold 1e-10); V and W, its right and left null bases, have
+    one column more than the stationary set has dimensions, the affine
+    direction.  The zero eigenvalue of a completely positive generator is
+    semisimple, so [x0, 1] tends to P [x0, 1] with the projector P = V (W^T
+    V)^-1 W^T, 16x16 on [c, 1].  Returns the dimension of the stationary
+    set, an orthonormal basis of its directions (rows, with no affine
+    part), P as `projector`, and a member with all eigenvalues above 1e-8:
+    the one maximizing the minimum eigenvalue along the tau line
+    (`_line_search`) when the set is a line, and the limit of I/4, P[:15,
+    15], otherwise.  It is None when rank deficient, as on boundary blocks
+    whose stationary states all are (equal transverse rates, for example);
+    lam = (1, 0.5, 0.2) with b^2 = lam1 lam2 keeps one.
     """
-    L, c0 = compile_generator(assemble_full_C(block))
-    U, s, Vt = np.linalg.svd(L)
-    cutoff = 1e-10 * (s[0] if s[0] > 0 else 1.0)
-    null = s <= cutoff
+    G = compile_generator(assemble_full_C(block))
+    U, s, Vt = np.linalg.svd(G)
+    null = s <= 1e-10 * (s[0] if s[0] > 0 else 1.0)
     V, W = Vt[null].T, U[:, null]
-
-    # minimum-norm particular solution of L v = -c0 through the same SVD
-    inv_s = np.array([1.0 / x if x > cutoff else 0.0 for x in s])
-    particular = Vt.T @ (inv_s * (U.T @ -c0))
-    residual = float(np.abs(L @ particular + c0).max())
-    if residual > 1e-8 * max(1.0, s[0]):
-        raise RuntimeError(f"affine stationary system inconsistent "
-                           f"(residual {residual:.3e}); invalid block?")
+    # a stationary state [x, 1] needs a null vector with an affine entry
+    affine = float(np.abs(V[15]).max())
+    if affine <= 1e-8:
+        raise RuntimeError(f"affine stationary system inconsistent (largest "
+                           f"affine null entry {affine:.3e}); invalid block?")
     projector = V @ np.linalg.solve(W.T @ V, W.T)
+    basis = (V[:15] @ np.linalg.svd(V[15:])[2][1:].T).T
+    member = projector[:15, 15]
 
-    if V.shape[1] == 1:
+    if len(basis) == 1:
         # tau is conserved and every tau in [-3, 1] has a stationary state,
         # so the line moves tau: parametrize by it and scan its range
-        d = V[:, 0]
-        t = (np.array([-3.0, 1.0]) - particular[TAU_ENTRIES].sum()) / d[TAU_ENTRIES].sum()
-        member = _line_search(particular, d, t.min(), t.max())
-    else:
-        member = particular - projector @ particular
+        d = basis[0]
+        t = (np.array([-3.0, 1.0]) - member[TAU_ENTRIES].sum()) / d[TAU_ENTRIES].sum()
+        member = _line_search(member, d, t.min(), t.max())
 
     member = assemble_matrices(member)
     ok = np.linalg.eigvalsh(member).min() > 1e-8
-    return {"dimension": V.shape[1],
-            "basis": V.T,
-            "particular": particular,
+    return {"dimension": len(basis),
+            "basis": basis,
             "projector": projector,
             "full_rank_member": member if ok else None}
 
 
 def stationary_member(sol, start):
     """The state the start state `start` (PauliCoefficients) tends to, from
-    the `liouvillian_null_space` result `sol`: p + Pi (x0 - p) for its
+    the `liouvillian_null_space` result `sol`: P [x0, 1] for its
     coefficients x0, at any dimension of the stationary set.
     """
-    p = sol["particular"]
-    return assemble_matrices(p + sol["projector"] @ (start.as_vector() - p))
+    return assemble_matrices(sol["projector"][:15] @ np.append(start.as_vector(), 1.0))
 
 
 def commutant_check(block):

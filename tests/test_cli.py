@@ -1,7 +1,11 @@
 """Configuration ingestion, the four subcommands, CSV schema, exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -825,6 +829,25 @@ def test_check_passes(capsys):
     lines = [ln for ln in out.strip().split("\n") if ln]
     assert len(lines) == len(pairbath.selfcheck.SUITES)
     assert all(ln.startswith("PASS") for ln in lines)
+
+
+def test_library_runs_without_scipy(tmp_path):
+    # pyproject.toml promises numpy alone, but the test extra installs scipy,
+    # so a stray scipy import shows only with scipy blocked in a fresh process
+    cfg = write_config(tmp_path, {"bath": {"lambda": [1, 0, 0], "B": [0, 0, 0]},
+                                  "initial": {"werner": {"s": 0.25}}})
+    child = ("import sys\n"
+             "sys.modules['scipy'] = None\n"
+             "from pairbath import cli\n"
+             "print(cli.main(['check']), "
+             "cli.main(['steady', '--config', sys.argv[1], '--numeric-only']))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-W", "error", "-c", child, cfg],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 0", run.stdout
 
 
 def test_check_reports_suite_wall_time(monkeypatch, capsys):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pairbath import steady_state
-from pairbath.bath import make_bath
-from pairbath.generator import evolve, rhs_equal_blocks
+from pairbath.bath import assemble_full_C, make_bath
+from pairbath.generator import compile_generator, evolve, rhs_equal_blocks
 from pairbath.pauli_algebra import (P_SINGLET, PauliCoefficients, Q_TRIPLET,
                                     TAU_ENTRIES, assemble_matrices, convert,
                                     tau_of)
@@ -356,6 +356,27 @@ def test_stationary_member_is_the_long_time_limit(rng, lam, B, dimension):
         rho0 = random_state(rng)
         limit = oracle_propagate(rho0, blk.A, blk.B, 2000.0)
         assert np.abs(stationary_member(sol, convert(rho0)) - limit).max() <= 1e-10
+    # P is the spectral projector of G's zero eigenvalue on [c, 1]: it kills
+    # G on both sides, is idempotent, and keeps the affine entry 1
+    G = compile_generator(assemble_full_C(blk))
+    P = sol["projector"]
+    assert P.shape == (16, 16)
+    assert np.abs(G @ P).max() <= 1e-12 and np.abs(P @ G).max() <= 1e-12
+    assert np.abs(P @ P - P).max() <= 1e-12
+    assert np.abs(P[15] - np.eye(16)[15]).max() <= 1e-12
+    basis = sol["basis"]
+    assert basis.shape == (dimension, 15)
+    assert np.abs(basis @ basis.T - np.eye(dimension)).max() <= 1e-12
+
+
+def test_nullspace_inconsistent_generator_raises(monkeypatch):
+    # c0 = e1 outside range(L) = {0}: no [x, 1] is stationary, and the
+    # guard raises before W^T V, singular here, reaches the solve
+    G = np.zeros((16, 16))
+    G[0, 15] = 1.0
+    monkeypatch.setattr(steady_state, "compile_generator", lambda C: G)
+    with pytest.raises(RuntimeError, match="affine stationary system inconsistent"):
+        liouvillian_null_space(make_bath(np.zeros((3, 3)), np.zeros(3)))
 
 
 def test_nullspace_boundary_family_has_no_interior_member():
