@@ -13,13 +13,15 @@ input returns exactly 1.0.
 `partial_transpose` and `concurrence` accept one 4x4 matrix or a stack of
 shape (..., 4, 4).  One matrix gives Python floats; a stack gives arrays
 whose entries equal, bit for bit, the results for each matrix alone.
+`xstate_measures` gives both numbers of X-states in closed form, from
+their seven coefficients.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli_algebra import STATE_EIG_FLOOR
+from .pauli_algebra import STATE_EIG_FLOOR, X_ENTRIES
 
 # sigma_y x sigma_y is real and antidiagonal; these are its entries from
 # the top row down, as a column that scales the rows of a 4 x n matrix
@@ -111,6 +113,38 @@ def concurrence(mat):
     mu = np.linalg.svd(W.swapaxes(-1, -2) @ YW, compute_uv=False)
     c = np.maximum(0.0, mu[..., 0] - mu[..., 1] - mu[..., 2] - mu[..., 3])
     return _float_or_array(c)
+
+
+def xstate_measures(vectors):
+    """(smallest partial-transpose eigenvalue, concurrence) of X-states about
+    axis 3, from coefficient vectors of shape (..., 15).
+
+    Only the seven `X_ENTRIES` r03 r30 r11 r12 r21 r22 r33 are read; the
+    others are taken as zero.  The matrix is then diagonal plus
+    antidiagonal, with 4 rho_11 = 1 + r33 + (r03 + r30),
+    4 rho_44 = 1 + r33 - (r03 + r30), 4 rho_22 = 1 - r33 - (r03 - r30),
+    4 rho_33 = 1 - r33 + (r03 - r30), 4|rho_14| = |r11 - r22, r12 + r21|
+    and 4|rho_23| = |r11 + r22, r12 - r21|.  The partial transpose splits
+    into the 2x2 blocks {00, 11}, carrying |rho_23|, and {01, 10}, carrying
+    |rho_14|; the smaller of their lower eigenvalues is the first value.
+    The concurrence is 2 max(0, |rho_14| - sqrt(rho_22 rho_33),
+    |rho_23| - sqrt(rho_11 rho_44)) (Yu & Eberly, QIC 7, 459, 2007),
+    diagonal entries below 0 read as 0, and exactly 0.0 wherever the first
+    value is not negative.  Both agree with `partial_transpose` and
+    `concurrence` to about 1e-15, not bit for bit.
+    """
+    r03, r30, r11, r12, r21, r22, r33 = np.moveaxis(
+        np.asarray(vectors, dtype=float)[..., X_ENTRIES], -1, 0)
+    a14, a23 = np.hypot(r11 - r22, r12 + r21), np.hypot(r11 + r22, r12 - r21)
+    min_pt = 0.25 * np.minimum(1 + r33 - np.hypot(r03 + r30, a23),
+                               1 - r33 - np.hypot(r03 - r30, a14))
+    p11, p44, p22, p33 = np.maximum(0.0, [1 + r33 + (r03 + r30),
+                                          1 + r33 - (r03 + r30),
+                                          1 - r33 - (r03 - r30),
+                                          1 - r33 + (r03 - r30)])
+    c = 0.5 * np.maximum(a14 - np.sqrt(p22 * p33), a23 - np.sqrt(p11 * p44))
+    c = np.where(min_pt < 0, np.maximum(c, 0.0), 0.0)
+    return _float_or_array(min_pt), _float_or_array(c)
 
 
 def concurrence_closed(M, R, tau):

@@ -59,6 +59,22 @@ _PROJECTION = EXPANSION_REAL.T.copy()
 _PROJECTION.flags.writeable = False
 # entries of a coefficient vector that sum to tau (the diagonal of rij)
 TAU_ENTRIES = [6, 10, 14]
+# entries of a coefficient vector inside the X sector about axis 3 (r03 r30
+# r11 r12 r21 r22 r33) and outside it (r01 r02 r10 r20 r13 r23 r31 r32); an
+# X-state about axis 3, diagonal plus antidiagonal as a matrix, has the
+# latter zero
+X_ENTRIES = [2, 5, 6, 7, 9, 10, 14]
+X_OFF_ENTRIES = [0, 1, 3, 4, 8, 11, 12, 13]
+# Row a reorders a coefficient vector by the cyclic relabelling of the axes
+# (1, 2, 3) that takes storage axis a to axis 3: v[AXIS_RELABEL[a]] is the
+# vector of (U x U) rho (U x U)^dagger, U a qubit rotation by 2 pi / 3 about
+# (1, 1, 1) (or its square, or 1 for a = 2).  A local unitary, it keeps the
+# partial-transpose spectrum and the concurrence.
+_CYCLES = [[(j + a + 1) % 3 for j in range(3)] for a in range(3)]
+AXIS_RELABEL = np.array([p + [3 + i for i in p]
+                         + [6 + 3 * i + j for i in p for j in p]
+                         for p in _CYCLES])
+AXIS_RELABEL.flags.writeable = False
 
 
 @dataclass

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from pairbath.bath import make_bath
 from pairbath.entanglement import (concurrence, concurrence_closed,
-                                   generation_test, partial_transpose)
+                                   generation_test, partial_transpose,
+                                   xstate_measures)
 from pairbath.generator import evolve
-from pairbath.pauli_algebra import P_SINGLET, convert
+from pairbath.pauli_algebra import (P_SINGLET, X_OFF_ENTRIES, convert,
+                                    project_matrices)
 
 from conftest import (random_block, random_ket, random_state,
                       random_xstate, xstate_concurrence)
@@ -177,6 +179,24 @@ def test_concurrence_against_xstate_oracle(rng):
     assert worst < 1e-12
 
 
+def test_xstate_measures_match_matrix_routes(rng):
+    # random X-states, with both channels' phases, and the boundary states
+    # |00>, |01>, the singlet and the maximally mixed state
+    rhos = [random_xstate(rng) for _ in range(400)]
+    rhos += [np.diag(d).astype(complex) for d in np.eye(4)[:2]]
+    rhos += [P_SINGLET, np.eye(4) / 4]
+    vectors = project_matrices(np.array(rhos))
+    assert not vectors[:, X_OFF_ENTRIES].any()
+    min_pt, conc = xstate_measures(vectors)
+    for k, rho in enumerate(rhos):
+        assert xstate_measures(vectors[k]) == (min_pt[k], conc[k])
+        assert abs(min_pt[k] - partial_transpose(rho)[1]) <= 1e-14
+        assert abs(conc[k] - xstate_concurrence(rho)) <= 1e-12
+        assert abs(conc[k] - concurrence(rho)) <= 1e-12
+    assert np.all(conc[min_pt >= 0] == 0.0)
+    assert (min_pt < 0).sum() > 100 and conc[-2] == 1.0
+
+
 def test_stacked_kernels_match_single_matrices(rng):
     stack = np.array([[random_state(rng, rank=r) for r in (1, 2, 3, 4)]
                       for _ in range(3)])
@@ -294,8 +314,10 @@ def test_generation_rejects_unnormalized():
 
 
 def test_generation_predicts_short_time_negativity(rng):
+    # eight generating pairs take 116 draws at the fixture seed and at most
+    # 247 at fixture seeds 0-999, so the cap does not decide the test
     confirmed = 0
-    for _ in range(120):
+    for _ in range(400):
         if confirmed >= 8:
             break
         blk = random_block(rng)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pairbath.bath import assemble_full_C, make_bath
-from pairbath.config import product_state
+from pairbath.config import product_state, werner_state
 from pairbath.entanglement import (concurrence, generation_test,
                                    partial_transpose)
 from pairbath.generator import (_F_OPS, _THETA, RECORD_CHUNK, STRIDE_BLOCK,
@@ -27,7 +27,7 @@ from pairbath.pauli_algebra import (EXPANSION, IDENT2, P_SINGLET, SIGMA,
 from conftest import (non_cp_block, oracle_general_propagate, oracle_propagate,
                       oracle_rhs, random_block, random_ket,
                       random_offaxis_bath, random_psd_C, random_state,
-                      trace_distance)
+                      trace_distance, xstate_concurrence)
 
 
 def _components_as_matrix(coeffs, block):
@@ -462,6 +462,82 @@ def test_evolve_assembles_and_measures_each_chunk_once(rng, monkeypatch):
     assert calls == dict.fromkeys(counted, chunks)
     tr.trace_err, tr.min_pt_eig, tr.concurrence
     assert calls == dict.fromkeys(counted, chunks)
+
+
+def _count_measure_calls(monkeypatch):
+    # calls of partial_transpose and concurrence as bound in pairbath.generator
+    calls = dict.fromkeys(["partial_transpose", "concurrence"], 0)
+    for name, fn in (("partial_transpose", partial_transpose),
+                     ("concurrence", concurrence)):
+        def counting(mats, fn=fn, name=name):
+            calls[name] += 1
+            return fn(mats)
+        monkeypatch.setattr(f"pairbath.generator.{name}", counting)
+    return calls
+
+
+# the X-state mask of a 4x4 matrix: its diagonal and antidiagonal
+_X_MASK = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2, None], ids=["B-x", "B-y", "B-z", "B-0"])
+def test_xstate_batches_take_the_closed_forms(monkeypatch, axis):
+    # a diagonal A with B on an axis (or B = 0) keeps every start that is an
+    # X-state about that axis one: werner, the axis's |00> and |01>, and a
+    # Bell-diagonal mixture.  601 samples span three RECORD_CHUNK batches
+    calls = _count_measure_calls(monkeypatch)
+    B = np.zeros(3)
+    if axis is not None:
+        B[axis] = 0.4
+    blk = make_bath(np.diag([1.0, 0.6, 0.3]), B)
+    axis = 2 if axis is None else axis
+    # the axis's up and down kets, written out: an eigh rounds their
+    # entries, which leaves coefficients outside the X sector off 0.0
+    kets = np.array({0: [[1, 1], [1, -1]], 1: [[1, 1j], [1, -1j]],
+                     2: [[1, 0], [0, 1]]}[axis])
+    up, down = kets / np.linalg.norm(kets, axis=1, keepdims=True)
+    # weights 0.6, 0.2, 0.15, 0.05 on Phi+, Phi-, Psi+, Psi-
+    bell_mixture = PauliCoefficients(np.zeros(3), np.zeros(3),
+                                     np.diag([0.5, -0.3, 0.6]))
+    starts = [werner_state(0.2), product_state(up, up), product_state(up, down),
+              bell_mixture]
+    # a pi rotation about the bisector of the axis and axis 3, on both
+    # qubits, takes an X-state about the axis to one about axis 3
+    V = (SIGMA[axis] + SIGMA[2]) / np.sqrt(2) if axis != 2 else IDENT2
+    W = np.kron(V, V)
+    dt = 0.01 / rate_scale(blk)
+    npt = 0
+    for start in starts:
+        tr = evolve(start, blk, t_end=600 * dt, dt=dt, sample_every=1)
+        mats = assemble_matrices(tr.coeffs)
+        assert np.abs(tr.min_pt_eig - partial_transpose(mats)[1]).max() <= 1e-14
+        assert np.abs(tr.concurrence - concurrence(mats)).max() <= 1e-12
+        xmats = W @ mats @ W.conj().T
+        assert np.abs(xmats[:, ~_X_MASK]).max() <= 1e-15
+        oracle = [xstate_concurrence(m) for m in xmats]
+        assert np.abs(tr.concurrence - oracle).max() <= 1e-12
+        assert np.all(tr.concurrence[tr.min_pt_eig >= 0] == 0.0)
+        npt += (tr.min_pt_eig < 0).sum()
+    assert calls == {"partial_transpose": 0, "concurrence": 0}
+    assert npt > 601
+
+
+@pytest.mark.parametrize("case", ["rotated-bath", "product-start"])
+def test_batches_with_a_non_xstate_keep_the_matrix_route(rng, monkeypatch, case):
+    # a werner start on a rotated bath, or a random product start on an
+    # aligned one: no batch is an X-state about any axis, so each of the
+    # three batches takes one partial_transpose and one concurrence call
+    calls = _count_measure_calls(monkeypatch)
+    if case == "rotated-bath":
+        blk, start = random_block(rng), werner_state(0.2)
+    else:
+        blk = make_bath(np.diag([1.0, 0.6, 0.3]), [0, 0, 0.4])
+        start = product_state(random_ket(rng), random_ket(rng))
+    dt = 0.01 / rate_scale(blk)
+    tr = evolve(start, blk, t_end=600 * dt, dt=dt, sample_every=1)
+    assert calls == {"partial_transpose": 3, "concurrence": 3}
+    assert np.array_equal(tr.min_pt_eig,
+                          partial_transpose(assemble_matrices(tr.coeffs))[1])
 
 
 @pytest.mark.parametrize("first", ["trace_err", "min_pt_eig", "concurrence"])

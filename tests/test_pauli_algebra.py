@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pairbath.pauli_algebra import (BIG_SIGMA, EXPANSION_REAL, IDENT4,
-                                    P_SINGLET, S_OPS, SIGMA,
+from pairbath.pauli_algebra import (AXIS_RELABEL, BIG_SIGMA, EXPANSION_REAL,
+                                    IDENT4, P_SINGLET, S_OPS, SIGMA,
                                     PauliCoefficients, Q_TRIPLET, S_TOTAL,
+                                    TAU_ENTRIES, X_ENTRIES, X_OFF_ENTRIES,
                                     assemble_matrices, check_appendix_algebra,
                                     check_density_matrix, convert,
                                     levi_civita, project_matrices, tau_of)
@@ -289,3 +290,24 @@ def test_levi_civita_antisymmetry(i, j, k):
     assert levi_civita(i, j, k) == -levi_civita(j, i, k)
     assert levi_civita(i, j, k) == -levi_civita(i, k, j)
     assert levi_civita(i, j, k) == levi_civita(j, k, i)
+
+
+def test_axis_relabel_is_a_local_unitary(rng):
+    # U, the rotation by 2 pi / 3 about (1, 1, 1), takes sigma_1 to sigma_2,
+    # sigma_2 to sigma_3 and sigma_3 to sigma_1; relabelling axis a to axis
+    # 3 must be conjugation by one of 1, U, U^2 on both qubits
+    U = 0.5 * (EYE2 - 1j * sum(PAULI))
+    assert np.allclose(U @ PAULI[0] @ U.conj().T, PAULI[1])
+    powers = [np.kron(V, V) for V in (EYE2, U, U @ U)]
+    vectors = project_matrices(np.array([random_state(rng) for _ in range(5)]))
+    rhos = assemble_matrices(vectors)
+    assert sorted(X_ENTRIES + X_OFF_ENTRIES) == list(range(15))
+    matched = []
+    for perm in AXIS_RELABEL:
+        assert sorted(perm) == list(range(15))
+        assert sorted(perm[TAU_ENTRIES]) == TAU_ENTRIES
+        relabelled = assemble_matrices(vectors[:, perm])
+        matched.append([k for k, W in enumerate(powers)
+                        if np.allclose(W @ rhos @ W.conj().T, relabelled,
+                                       rtol=0, atol=1e-15)])
+    assert matched == [[2], [1], [0]]
