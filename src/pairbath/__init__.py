@@ -1,9 +1,11 @@
 """Two non-interacting qubits in a common Markovian bath.
 
 Completely positive dynamics generated by a single 3x3 Kossakowski block
-acting through collective spin operators: component-form integration,
-closed-form stationary states and their asymptotic concurrence, a numerical
-Liouvillian null-space oracle, and an entanglement-generation witness.
+acting through collective spin operators: exact propagation by the
+exponential of the 16x16 affine generator, closed-form stationary states
+and their asymptotic concurrence, a numerical Liouvillian null-space
+oracle, and an entanglement-generation witness.  A state is a (15,) array
+of real coefficients (see `pauli_algebra`) or a 4x4 density matrix.
 """
 
 from .bath import (BathValidityError, KossakowskiBlock, PrincipalFrame,
@@ -17,8 +19,8 @@ from .generator import (IntegrationAccuracyError, Trajectory,
                         compile_generator, diagonal_form_check, evolve,
                         rate_scale, rhs_components, rhs_equal_blocks,
                         rhs_general)
-from .pauli_algebra import (PauliCoefficients, check_appendix_algebra,
-                            check_density_matrix, convert, levi_civita, tau_of)
+from .pauli_algebra import (check_appendix_algebra, check_density_matrix,
+                            convert, levi_civita, tau_of)
 from .steady_state import (ClosedFormNotApplicable, EquilibriumState,
                            StationaryFamily, asymptotic_state, commutant_check,
                            equilibrium_components, liouvillian_null_space,
@@ -36,8 +38,8 @@ __all__ = [
     "IntegrationAccuracyError", "Trajectory", "compile_generator",
     "diagonal_form_check", "evolve", "rate_scale",
     "rhs_components", "rhs_equal_blocks", "rhs_general",
-    "PauliCoefficients", "check_appendix_algebra",
-    "check_density_matrix", "convert", "levi_civita", "tau_of",
+    "check_appendix_algebra", "check_density_matrix", "convert",
+    "levi_civita", "tau_of",
     "ClosedFormNotApplicable", "EquilibriumState", "StationaryFamily",
     "asymptotic_state", "commutant_check", "equilibrium_components",
     "liouvillian_null_space", "stationary_family", "stationary_member",

@@ -37,7 +37,7 @@ COEFF_COMMENT = ("# r{a}{b} = coefficient of sigma_a x sigma_b "
 SWEEP_HEADER = "value,c_closed,c_evolved,delta_c"
 
 
-# PauliCoefficients.as_vector index of each entry of COEFF_COLUMNS
+# coefficient-vector index of each entry of COEFF_COLUMNS
 _COEFF_ORDER = [0, 1, 2, 3, 6, 7, 8, 4, 9, 10, 11, 5, 12, 13, 14]
 _TRAJECTORY_ROW = ",".join(["{:.15g}"] * (5 + len(COEFF_COLUMNS))) + "\n"
 _ROWS_PER_WRITE = 256
@@ -213,7 +213,7 @@ def sweep_rows(cfg, param, values):
                 raise ConfigError(f"integrator: {exc}") from None
         closed = concurrence_closed(fam.M, fam.R, tau_of(initial))
         with np.errstate(over="ignore", invalid="ignore"):
-            x_f = M[:15] @ np.append(initial.as_vector(), 1.0)
+            x_f = M[:15] @ np.append(initial, 1.0)
         c_evolved = concurrence(_check_samples(x_f[None], [t_f])[0])
         delta_c = None
         if WERNER_KEY in row.initial:

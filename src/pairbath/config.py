@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathValidityError, make_bath
-from .pauli_algebra import (PauliCoefficients, check_density_matrix, convert,
-                            tau_of)
+from .pauli_algebra import check_density_matrix, convert, tau_of
 
 
 class ConfigError(ValueError):
@@ -135,7 +134,7 @@ def _parse_variant(node, field, allow_mixed=True):
         if rij.shape != (3, 3):
             raise ConfigError(f"{field}.pauli.rij: expected 3x3, got shape {rij.shape}")
         # the state floor of the integrator, and the closed-form tau range
-        state = PauliCoefficients(r0i, ri0, rij)
+        state = np.concatenate([r0i, ri0, rij.ravel()])
         try:
             check_density_matrix(convert(state))
         except ValueError as exc:
@@ -241,22 +240,24 @@ def build_block(config):
 
 def werner_state(s):
     """Singlet/triplet interpolation with weight 1-s on the singlet
-    projector and s/3 on the complementary sector; a valid state for
-    0 <= s <= 3/4, maximally entangled at s = 0."""
+    projector and s/3 on the complementary sector, as a coefficient vector;
+    a valid state for 0 <= s <= 3/4, maximally entangled at s = 0."""
     if not 0.0 <= s <= 0.75:
         raise ConfigError(f"werner s: need 0 <= s <= 3/4, got {s}")
     rij = (4.0 * s / 3.0 - 1.0) * np.eye(3)
-    return PauliCoefficients(np.zeros(3), np.zeros(3), rij)
+    return np.concatenate([np.zeros(6), rij.ravel()])
 
 
 def product_state(phi, psi):
+    """Coefficient vector of the pure product state phi x psi."""
     vec = np.kron(np.asarray(phi, dtype=complex),
                   np.asarray(psi, dtype=complex))
     return convert(np.outer(vec, vec.conj()))
 
 
 def build_initial(config):
-    """Assemble the configured initial state as Pauli coefficients."""
+    """The configured initial state as a (15,) coefficient vector, in
+    `pauli_algebra.EXPANSION` order."""
     return _variant_state(config.initial)
 
 
@@ -268,22 +269,18 @@ def _variant_state(variant):
     if key == WERNER_KEY:
         return werner_state(body["s"])
     if key == "pauli":
-        return PauliCoefficients(np.asarray(body["r0i"], dtype=float),
-                                 np.asarray(body["ri0"], dtype=float),
-                                 np.asarray(body["rij"], dtype=float))
+        return np.concatenate([body["r0i"], body["ri0"], np.ravel(body["rij"])],
+                              dtype=float)
     if key == "mixed":
         # the weights sum to 1 within 1e-9; dividing by their sum keeps the
         # mixture a state
-        acc, total = PauliCoefficients.zero(), 0.0
+        acc, total = np.zeros(15), 0.0
         for item in body:
             sub = _variant_state({k: v for k, v in item.items() if k != "weight"})
             w = item["weight"]
-            acc = PauliCoefficients(acc.r0i + w * sub.r0i,
-                                    acc.ri0 + w * sub.ri0,
-                                    acc.rij + w * sub.rij)
+            acc = acc + w * sub
             total += w
-        return PauliCoefficients(acc.r0i / total, acc.ri0 / total,
-                                 acc.rij / total)
+        return acc / total
     raise ConfigError(f"initial.{key}: unknown state variant")
 
 

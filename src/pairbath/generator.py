@@ -22,7 +22,7 @@ from .bath import KossakowskiBlock, assemble_full_C
 from .entanglement import (_psd_sqrt, concurrence, partial_transpose,
                            xstate_measures)
 from .pauli_algebra import (AXIS_RELABEL, BIG_SIGMA, EXPANSION,
-                            STATE_EIG_FLOOR, PauliCoefficients, TAU_ENTRIES,
+                            STATE_EIG_FLOOR, TAU_ENTRIES,
                             X_OFF_ENTRIES, assemble_matrices, project_matrices)
 
 # cached products Sigma_i Sigma_j for the anticommutator terms
@@ -62,14 +62,17 @@ def rhs_equal_blocks(state, block):
 def rhs_components(state, block):
     """Generator acting on the 15 real coefficients directly.
 
-    Works for any symmetric A and vector B, no principal frame required.
-    Returns a PauliCoefficients increment.  The correlation-trace tau enters
-    only through the inhomogeneity and the diagonal counterterm, which is why
-    it is conserved by this dynamics.
+    `state` is a (15,) coefficient vector in `EXPANSION` order (r0i, ri0,
+    then rij row-major); returns its time derivative, a (15,) vector in the
+    same order.  Works for any symmetric A and vector B, no principal frame
+    required.  The correlation-trace tau enters only through the
+    inhomogeneity and the diagonal counterterm, which is why it is
+    conserved by this dynamics.
     """
     A, B = block.A, block.B
     At = block.A_tr
-    r0, r1, rij = state.r0i, state.ri0, state.rij
+    state = np.asarray(state, dtype=float)
+    r0, r1, rij = state[:3], state[3:6], state[6:].reshape(3, 3)
     tau = rij.trace()
 
     inhom = 2 * (2 + tau) * B
@@ -86,7 +89,7 @@ def rhs_components(state, block):
            + 4 * (np.outer(B, r0) + np.outer(r1, B)))
     dij += (4 * (At * tau - float(np.sum(A * rij.T)))
             - 2 * float(B @ (r0 + r1))) * np.eye(3)
-    return PauliCoefficients(d0, d1, dij)
+    return np.concatenate([d0, d1, dij.ravel()])
 
 
 def _check_coefficient_matrix(C):
@@ -205,7 +208,8 @@ class Trajectory:
     """Sampled solution of the master equation.
 
     `coeffs` is the (n, 15) array of sampled coefficient vectors, one row
-    per entry of `times`, in `PauliCoefficients.as_vector` order, and `tau`
+    per entry of `times`, in `EXPANSION` order (r0i, ri0, then rij
+    row-major), so a row is a state `evolve` takes as `initial`, and `tau`
     their correlation traces.  Per sample, `trace_err` is |trace - 1|, an
     integrator-health diagnostic, `min_pt_eig` the smallest eigenvalue of
     the partial transpose, and `concurrence` Wootters' concurrence.  A
@@ -349,11 +353,12 @@ def final_map(bath, t_end=None, dt=None):
 def evolve(initial, bath, t_end=None, dt=None, sample_every=10):
     """Propagate the component equations exactly, sampled on a grid of dt.
 
-    `bath` is a `KossakowskiBlock` or a 6x6 coefficient matrix, checked as
-    `rhs_general` checks it.  The horizon is `_horizon`'s: for a block, dt =
-    0.01 / rate_scale and t_end = 50 / rate_scale by default, so the
-    horizon and resolution follow the fastest rate in the block; a matrix
-    needs both given.  A caller that needs only the final state takes it
+    `initial` is a (15,) coefficient vector, such as a row of the `coeffs`
+    of a `Trajectory`.  `bath` is a `KossakowskiBlock` or a 6x6 coefficient
+    matrix, checked as `rhs_general` checks it.  The horizon is
+    `_horizon`'s: for a block, dt = 0.01 / rate_scale and t_end = 50 /
+    rate_scale by default, so the horizon and resolution follow the fastest
+    rate in the block; a matrix needs both given.  A caller that needs only the final state takes it
     from `final_map`, one exponential, instead.  The step is the
     propagator `_step_matrix`, so dt has no stability limit: samples are
     dt * sample_every apart, plus the final time.  Its squarings amplify
@@ -393,7 +398,7 @@ def evolve(initial, bath, t_end=None, dt=None, sample_every=10):
     if rest:
         times = np.append(times, n_steps * dt)
     Y = np.empty((len(times), 16))
-    Y[0] = np.append(initial.as_vector(), 1.0)
+    Y[0] = np.append(initial, 1.0)
     # a generator that is not completely positive can overflow: see _check_samples
     with np.errstate(over="ignore", invalid="ignore"):
         step = _step_matrix(compile_generator(C), dt)

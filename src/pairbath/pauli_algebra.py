@@ -1,11 +1,13 @@
-"""Fixed two-qubit operator basis and the real-coefficient state representation.
+"""Fixed two-qubit operator basis and the coefficient vector of a state.
 
 Every density matrix of two qubits is written as
 
     rho = 1/4 [ 1x1 + sum_i r0i[i] (1 x sigma_i) + sum_i ri0[i] (sigma_i x 1)
                 + sum_ij rij[i,j] (sigma_i x sigma_j) ]
 
-with 15 real coefficients.  The expansion is one linear map, kept as one
+with 15 real coefficients.  A state is a float array of shape (15,), in
+`EXPANSION` order: r0i, ri0, then rij row-major; a stack of states is an
+array of shape (..., 15).  The expansion is one linear map, kept as one
 real table, `EXPANSION_REAL`: `assemble_matrices` multiplies coefficient
 vectors by it and `project_matrices` multiplies Hermitian matrices by its
 transpose.  The collective operators
@@ -23,7 +25,6 @@ fixed here and imported everywhere else.
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,8 +47,8 @@ S_TOTAL = S_OPS[0][0] + S_OPS[1][1] + S_OPS[2][2]
 P_SINGLET = (IDENT4 - S_TOTAL / 2) / 4
 Q_TRIPLET = IDENT4 - P_SINGLET
 
-# expansion operators in `PauliCoefficients.as_vector` order (1 x sigma_i,
-# sigma_i x 1, sigma_i x sigma_j), and the same table as real (15, 32) rows,
+# expansion operators in coefficient-vector order (1 x sigma_i, sigma_i x 1,
+# sigma_i x sigma_j), and the same table as real (15, 32) rows,
 # real and imaginary parts interleaved; its rows are orthogonal,
 # EXPANSION_REAL @ EXPANSION_REAL.T = 4 I exactly
 EXPANSION = np.array([np.kron(IDENT2, s) for s in SIGMA]
@@ -77,41 +78,10 @@ AXIS_RELABEL = np.array([p + [3 + i for i in p]
 AXIS_RELABEL.flags.writeable = False
 
 
-@dataclass
-class PauliCoefficients:
-    """The 15 real expansion coefficients of a two-qubit operator.
-
-    r0i[i] multiplies 1 x sigma_i (second qubit), ri0[i] multiplies
-    sigma_i x 1 (first qubit), rij[i, j] multiplies sigma_i x sigma_j.
-    """
-
-    r0i: np.ndarray
-    ri0: np.ndarray
-    rij: np.ndarray
-
-    def __post_init__(self):
-        self.r0i = np.asarray(self.r0i, dtype=float).reshape(3)
-        self.ri0 = np.asarray(self.ri0, dtype=float).reshape(3)
-        self.rij = np.asarray(self.rij, dtype=float).reshape(3, 3)
-
-    def as_vector(self):
-        """Flatten to the canonical 15-vector order [r0i, ri0, rij.ravel()]."""
-        return np.concatenate([self.r0i, self.ri0, self.rij.ravel()])
-
-    @classmethod
-    def from_vector(cls, v):
-        v = np.asarray(v, dtype=float).reshape(15)
-        return cls(v[:3], v[3:6], v[6:].reshape(3, 3))
-
-    @classmethod
-    def zero(cls):
-        return cls(np.zeros(3), np.zeros(3), np.zeros((3, 3)))
-
-
 def assemble_matrices(vectors):
     """Density matrices of coefficient vectors: shape (..., 15) -> (..., 4, 4).
 
-    The vectors are in `PauliCoefficients.as_vector` order; the matrices are
+    The vectors are in `EXPANSION` order; the matrices are
     (1 + v @ EXPANSION_REAL) / 4 viewed as complex.
     """
     v = np.asarray(vectors, dtype=float)
@@ -134,27 +104,32 @@ def project_matrices(mats):
 
 
 def convert(state):
-    """Convert between PauliCoefficients and the 4x4 density-matrix form.
+    """Convert between coefficient vectors and 4x4 density matrices, one
+    state or a stack, the direction read from the trailing shape.
 
-    Coefficients -> matrix is `assemble_matrices`.  Matrix -> coefficients
-    is `project_matrices`, which assumes a Hermitian input; a non-unit
-    trace is reported as a warning, never renormalized.
+    (..., 15) -> (..., 4, 4) is `assemble_matrices`.  (..., 4, 4) -> (...,
+    15) is `project_matrices`, which assumes Hermitian input; a trace other
+    than 1 is reported as a warning, never renormalized.
     """
-    if isinstance(state, PauliCoefficients):
-        return assemble_matrices(state.as_vector())
-    mat = np.asarray(state, dtype=complex)
-    tr = np.trace(mat).real
-    if abs(tr - 1.0) > 1e-12:
-        warnings.warn(f"matrix trace is {tr!r}, not 1; coefficients kept unscaled",
-                      stacklevel=2)
-    return PauliCoefficients.from_vector(project_matrices(mat))
+    x = np.asarray(state)
+    if x.shape[-1:] == (15,):
+        return assemble_matrices(x)
+    x = x.astype(complex, copy=False)
+    tr = np.trace(x, axis1=-2, axis2=-1).real
+    off = tr[np.abs(tr - 1.0) > 1e-12]
+    if off.size:
+        warnings.warn(f"matrix trace is {off[0]!r}, not 1; coefficients kept "
+                      "unscaled", stacklevel=2)
+    return project_matrices(x)
 
 
 def tau_of(state):
-    """Trace of the correlation block; equals 1 - 4 Tr[P rho]."""
-    if isinstance(state, PauliCoefficients):
-        return float(np.trace(state.rij))
-    return float(project_matrices(state)[TAU_ENTRIES].sum())
+    """tau of one coefficient vector or one 4x4 matrix: the trace of the
+    correlation block rij, equal to 1 - 4 Tr[P rho]."""
+    x = np.asarray(state)
+    if x.shape == (4, 4):
+        x = project_matrices(x)
+    return float(x[TAU_ENTRIES].sum())
 
 
 # Smallest eigenvalue a state may show from rounding alone; every state

@@ -16,7 +16,7 @@ from .config import run_seed
 from .entanglement import concurrence, generation_test, partial_transpose
 from .generator import (diagonal_form_check, evolve, lindblad_operators,
                         rhs_components, rhs_equal_blocks, rhs_general)
-from .pauli_algebra import (IDENT2, P_SINGLET, SIGMA, PauliCoefficients,
+from .pauli_algebra import (IDENT2, P_SINGLET, SIGMA, TAU_ENTRIES,
                             assemble_matrices, check_appendix_algebra, convert)
 from .steady_state import (asymptotic_state, commutant_check,
                            equilibrium_components, liouvillian_null_space,
@@ -134,7 +134,8 @@ def suite_nullspace_oracle(rng):
         if sol["full_rank_member"] is None:
             return False, "no full-rank member found at interior bath"
         for tau in (-2.5, 0.0, 0.9):
-            start = PauliCoefficients(np.zeros(3), np.zeros(3), np.diag([tau / 3] * 3))
+            start = np.zeros(15)
+            start[TAU_ENTRIES] = tau / 3
             member = stationary_member(sol, start)
             eq = equilibrium_components(tau, fam)
             worst = max(worst, float(np.abs(member - eq.state).max()))

@@ -4,9 +4,9 @@ Two independent routes to the same objects are kept side by side: the
 closed-form family (reference state, tau-parametrized equilibrium
 components, asymptotic projector map), valid when the bath vector lies on a
 principal axis of A and the bath matrix has rank at least 2, and a numerical
-null-space oracle over the 15 real coefficients that works for any valid
-block.  Tests hold the two against each other; neither is allowed to
-silently replace the other.
+null-space oracle, the SVD of the 16x16 affine generator G of
+`compile_generator`, that works for any valid block.  Tests hold the two
+against each other; neither is allowed to silently replace the other.
 """
 
 import warnings
@@ -16,8 +16,8 @@ import numpy as np
 
 from .bath import assemble_full_C, herm_rank, principal_frame
 from .generator import compile_generator, lindblad_operators
-from .pauli_algebra import (P_SINGLET, PauliCoefficients, Q_TRIPLET, S_TOTAL,
-                            TAU_ENTRIES, assemble_matrices, convert, tau_of)
+from .pauli_algebra import (P_SINGLET, Q_TRIPLET, S_TOTAL, TAU_ENTRIES,
+                            assemble_matrices, convert, tau_of)
 
 
 class ClosedFormNotApplicable(ValueError):
@@ -117,7 +117,7 @@ def _member(tau, family):
     G = family.frame.aligned_rotation
     r = G.T @ np.array([0.0, 0.0, rho_3])
     rij = G.T @ np.diag([2 * rho_11, 2 * rho_22, 2 * rho_33]) @ G
-    state = convert(PauliCoefficients(r, r, rij))
+    state = convert(np.concatenate([r, r, rij.ravel()]))
     return EquilibriumState(tau=tau,
                             components={"rho_3": rho_3, "rho_11": rho_11,
                                         "rho_22": rho_22, "rho_33": rho_33},
@@ -127,12 +127,14 @@ def _member(tau, family):
 def asymptotic_state(initial, family):
     """Image of an initial state under the asymptotic projector map.
 
-    The singlet and triplet weights of the initial state fix the mixture of
-    the two projected reference-state sectors.  The result is cross-checked
-    against the tau-parametrized component formulas; the two routes must
-    agree to 1e-12, otherwise the family data is inconsistent.
+    `initial` is a (15,) coefficient vector or a 4x4 density matrix, told
+    apart by its shape.  The singlet and triplet weights of the initial
+    state fix the mixture of the two projected reference-state sectors.
+    The result is cross-checked against the tau-parametrized component
+    formulas; the two routes must agree to 1e-12, otherwise the family data
+    is inconsistent.
     """
-    rho_in = initial if isinstance(initial, np.ndarray) else convert(initial)
+    rho_in = convert(initial) if np.shape(initial) == (15,) else initial
     rho0 = family.rho0_hat
     p_weight = float(np.trace(P_SINGLET @ rho_in).real)
     q_weight = float(np.trace(Q_TRIPLET @ rho_in).real)
@@ -227,11 +229,11 @@ def liouvillian_null_space(block):
 
 
 def stationary_member(sol, start):
-    """The state the start state `start` (PauliCoefficients) tends to, from
-    the `liouvillian_null_space` result `sol`: P [x0, 1] for its
-    coefficients x0, at any dimension of the stationary set.
+    """The state the start state tends to, from the `liouvillian_null_space`
+    result `sol`: P [x0, 1] for the (15,) coefficient vector x0 = `start`,
+    at any dimension of the stationary set.
     """
-    return assemble_matrices(sol["projector"][:15] @ np.append(start.as_vector(), 1.0))
+    return assemble_matrices(sol["projector"][:15] @ np.append(start, 1.0))
 
 
 def commutant_check(block):

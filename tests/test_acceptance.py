@@ -14,9 +14,8 @@ from pairbath.entanglement import (concurrence, concurrence_closed,
                                    generation_test)
 from pairbath.generator import (diagonal_form_check, evolve, rate_scale,
                                 rhs_components, rhs_equal_blocks, rhs_general)
-from pairbath.pauli_algebra import (P_SINGLET, PauliCoefficients,
-                                    assemble_matrices, check_appendix_algebra,
-                                    convert, tau_of)
+from pairbath.pauli_algebra import (P_SINGLET, assemble_matrices,
+                                    check_appendix_algebra, convert, tau_of)
 from pairbath.steady_state import (asymptotic_state, equilibrium_components,
                                    liouvillian_null_space, stationary_family)
 
@@ -126,8 +125,7 @@ def test_criterion_06_concurrence_cross_check():
             # push tau below the entanglement threshold (which never drops
             # under -1.25) so the nonzero branch is exercised too
             w = rng.uniform(0.6, 0.9)
-            rho0 = PauliCoefficients.from_vector(
-                (1 - w) * rho0.as_vector() + w * werner_state(0).as_vector())
+            rho0 = (1 - w) * rho0 + w * werner_state(0)
         closed = concurrence_closed(fam.M, fam.R, tau_of(rho0))["C"]
         entangled += closed > 0
         tr = evolve(rho0, blk, dt=0.005 / rate_scale(blk), sample_every=100000)
@@ -213,11 +211,10 @@ def test_criterion_09_nullspace_oracle():
             break
         d = sol["basis"][0]
         tau_d = d[6] + d[10] + d[14]
-        base = convert(sol["full_rank_member"])
-        vec, tau_b = base.as_vector(), tau_of(base)
+        vec = convert(sol["full_rank_member"])
+        tau_b = tau_of(vec)
         for tau in np.linspace(-3.0, 1.0, 9):
-            member = convert(PauliCoefficients.from_vector(
-                vec + (tau - tau_b) / tau_d * d))
+            member = convert(vec + (tau - tau_b) / tau_d * d)
             worst = max(worst, float(np.abs(
                 member - equilibrium_components(tau, fam).state).max()))
     ok = dims_ok and worst < 1e-9

@@ -19,7 +19,7 @@ from pairbath.config import (ConfigError, build_block, build_initial,
                              werner_state)
 from pairbath.entanglement import concurrence, concurrence_closed
 from pairbath.generator import _generator_tensor, evolve, final_map
-from pairbath.pauli_algebra import PauliCoefficients, convert, tau_of
+from pairbath.pauli_algebra import TAU_ENTRIES, convert, tau_of
 from pairbath.steady_state import stationary_family
 
 from conftest import EYE2, PAULI, non_cp_block, oracle_propagate
@@ -69,8 +69,7 @@ def test_round_trip_mixed():
     w = build_initial(parse_config({**obj, "initial": {"werner": {"s": 0.3}}}))
     p = build_initial(parse_config(
         {**obj, "initial": {"product": {"phi": [1, 0], "psi": [0, 1]}}}))
-    assert np.abs(mixed.as_vector()
-                  - 0.5 * (w.as_vector() + p.as_vector())).max() < 1e-15
+    assert np.abs(mixed - 0.5 * (w + p)).max() < 1e-15
 
 
 @pytest.mark.parametrize("mangle, field", [
@@ -190,9 +189,10 @@ def test_nested_mixed_rejected():
 
 def test_werner_initial_coefficients():
     c = werner_state(0.25)
-    assert np.allclose(c.rij, np.diag([-2 / 3, -2 / 3, -2 / 3]))
+    assert c.shape == (15,)
+    assert np.allclose(c[6:].reshape(3, 3), np.diag([-2 / 3, -2 / 3, -2 / 3]))
     assert np.isclose(tau_of(c), -2.0)
-    assert np.abs(c.r0i).max() == 0.0
+    assert np.abs(c[:6]).max() == 0.0
 
 
 def test_run_seed_environment(monkeypatch):
@@ -675,7 +675,8 @@ def _hand_built_row(cfg, param, value):
     B = np.array(cfg.bath["B"], dtype=float)
     initial = werner_state(cfg.initial["werner"]["s"])
     if param == "tau":
-        initial = PauliCoefficients(np.zeros(3), np.zeros(3), np.diag([value / 3.0] * 3))
+        initial = np.zeros(15)
+        initial[TAU_ENTRIES] = value / 3.0
     elif param == "B":
         B = value * (B / np.linalg.norm(B))
     else:

@@ -21,8 +21,8 @@ from pairbath.generator import (_F_OPS, _THETA, RECORD_CHUNK, STRIDE_BLOCK,
                                 rate_scale, rhs_components, rhs_equal_blocks,
                                 rhs_general)
 from pairbath.pauli_algebra import (EXPANSION, IDENT2, P_SINGLET, SIGMA,
-                                    TAU_ENTRIES, PauliCoefficients,
-                                    assemble_matrices, convert, tau_of)
+                                    TAU_ENTRIES, assemble_matrices, convert,
+                                    tau_of)
 
 from conftest import (non_cp_block, oracle_general_propagate, oracle_propagate,
                       oracle_rhs, random_block, random_ket,
@@ -62,7 +62,8 @@ def test_rhs_components_is_trace_free(rng):
         blk = random_block(rng)
         d = rhs_components(convert(random_state(rng)), blk)
         # the correlation trace never moves, structurally
-        assert abs(np.trace(d.rij)) < 1e-12
+        assert d.shape == (15,)
+        assert abs(d[TAU_ENTRIES].sum()) < 1e-12
 
 
 def test_rhs_general_validates():
@@ -132,8 +133,8 @@ def test_evolve_samples_match_expm_oracle(rng, sample_every):
         if steps[-1] != n_steps:
             steps.append(n_steps)
         assert np.array_equal(tr.times, np.array(steps) * dt)
-        expected = [convert(rho).as_vector() for rho in
-                    oracle_general_propagate(rho0, assemble_full_C(blk), tr.times)]
+        expected = convert(oracle_general_propagate(rho0, assemble_full_C(blk),
+                                                    tr.times))
         assert np.abs(tr.coeffs - expected).max() <= 1e-12
 
 
@@ -169,8 +170,8 @@ def test_final_map_is_the_last_sample(rng, t_end):
         M, t_f = final_map(blk, t_end=t_end, dt=dt)
         tr = evolve(convert(rho0), blk, t_end=t_end, dt=dt, sample_every=10 ** 6)
         assert t_f == tr.times[-1]
-        x_f = M[:15] @ np.append(convert(rho0).as_vector(), 1.0)
-        expected = convert(oracle_propagate(rho0, blk.A, blk.B, t_f)).as_vector()
+        x_f = M[:15] @ np.append(convert(rho0), 1.0)
+        expected = convert(oracle_propagate(rho0, blk.A, blk.B, t_f))
         assert np.abs(x_f - expected).max() <= tol
 
 
@@ -189,7 +190,8 @@ def test_batched_recording_matches_per_sample(rng, sample_every):
     n_steps = 600
     starts = [product_state(random_ket(rng), random_ket(rng)),
               convert(random_state(rng, rank=1)),
-              PauliCoefficients([0, 0, -1], [0, 0, 1], np.diag([0.0, 0.0, -1.0])),
+              # r03 = -1, r30 = 1, r33 = -1: the product state |01>
+              np.array([0, 0, -1, 0, 0, 1] + [0] * 8 + [-1], dtype=float),
               convert(random_state(rng))]
     for blk in (random_offaxis_bath(rng), random_block(rng)):
         dt = 0.01 / rate_scale(blk)
@@ -198,10 +200,9 @@ def test_batched_recording_matches_per_sample(rng, sample_every):
                         sample_every=sample_every)
             mats = assemble_matrices(tr.coeffs)
             for k, v in enumerate(tr.coeffs):
-                c = PauliCoefficients.from_vector(v)
-                mat = convert(c)
+                mat = convert(v)
                 assert mat.tobytes() == mats[k].tobytes()
-                assert tr.tau[k] == tau_of(c)
+                assert tr.tau[k] == tau_of(v)
                 assert tr.trace_err[k] == abs(np.trace(mat).real - 1.0)
                 assert tr.min_pt_eig[k] == partial_transpose(mat)[1]
                 assert tr.concurrence[k] == concurrence(mat)
@@ -220,7 +221,7 @@ def test_blocked_strides_match_sequential_products(rng, n_steps, sample_every):
             tr = evolve(initial, blk, t_end=n * dt, dt=dt, sample_every=every)
             step = _step_matrix(compile_generator(assemble_full_C(blk)), dt)
             stride = np.linalg.matrix_power(step, every)
-            y = np.append(initial.as_vector(), 1.0)
+            y = np.append(initial, 1.0)
             expected = [y]
             for _ in range(n_strides):
                 y = stride @ y
@@ -256,7 +257,7 @@ def _state_with_min_eig(rng, lowest):
     w, U = np.linalg.eigh(random_state(rng))
     w[0] = lowest
     w[1:] += (1.0 - w.sum()) / 3
-    return convert((U * w) @ U.conj().T).as_vector()
+    return convert((U * w) @ U.conj().T)
 
 
 def test_positivity_screen_passes_rounding_and_finds_failures(rng, monkeypatch):
@@ -374,10 +375,10 @@ def test_lindblad_sum_on_a_stack_equals_per_state_calls(rng, rank):
 
 def _compile_by_evaluation(block):
     """Reference [L | c0]: rhs_components at zero and at each unit vector."""
-    c0 = rhs_components(PauliCoefficients.zero(), block).as_vector()
+    c0 = rhs_components(np.zeros(15), block)
     L = np.empty((15, 15))
     for k, e in enumerate(np.eye(15)):
-        L[:, k] = rhs_components(PauliCoefficients.from_vector(e), block).as_vector() - c0
+        L[:, k] = rhs_components(e, block) - c0
     return np.column_stack([L, c0])
 
 
@@ -497,8 +498,8 @@ def test_xstate_batches_take_the_closed_forms(monkeypatch, axis):
                      2: [[1, 0], [0, 1]]}[axis])
     up, down = kets / np.linalg.norm(kets, axis=1, keepdims=True)
     # weights 0.6, 0.2, 0.15, 0.05 on Phi+, Phi-, Psi+, Psi-
-    bell_mixture = PauliCoefficients(np.zeros(3), np.zeros(3),
-                                     np.diag([0.5, -0.3, 0.6]))
+    bell_mixture = np.zeros(15)
+    bell_mixture[TAU_ENTRIES] = [0.5, -0.3, 0.6]
     starts = [werner_state(0.2), product_state(up, up), product_state(up, down),
               bell_mixture]
     # a pi rotation about the bisector of the axis and axis 3, on both
@@ -617,9 +618,10 @@ def test_antisymmetric_components_decay(rng):
     for _ in range(3):
         blk = random_block(rng)
         tr = evolve(convert(random_state(rng)), blk, sample_every=10 ** 6)
-        last = PauliCoefficients.from_vector(tr.coeffs[-1])
-        assert np.abs(last.r0i - last.ri0).max() < 1e-8
-        assert np.abs(last.rij - last.rij.T).max() < 1e-8
+        last = tr.coeffs[-1]
+        rij = last[6:].reshape(3, 3)
+        assert np.abs(last[:3] - last[3:6]).max() < 1e-8
+        assert np.abs(rij - rij.T).max() < 1e-8
 
 
 def test_symmetric_sector_is_invariant(rng):
@@ -627,12 +629,11 @@ def test_symmetric_sector_is_invariant(rng):
     blk = random_block(rng)
     r = rng.uniform(-0.2, 0.2, 3)
     m = rng.uniform(-0.2, 0.2, (3, 3))
-    start = PauliCoefficients(r, r.copy(), (m + m.T) / 4)
+    start = np.concatenate([r, r, ((m + m.T) / 4).ravel()])
     tr = evolve(start, blk, t_end=5.0, dt=0.01, sample_every=50)
-    for v in tr.coeffs:
-        c = PauliCoefficients.from_vector(v)
-        assert np.abs(c.r0i - c.ri0).max() < 1e-12
-        assert np.abs(c.rij - c.rij.T).max() < 1e-12
+    rij = tr.coeffs[:, 6:].reshape(-1, 3, 3)
+    assert np.abs(tr.coeffs[:, :3] - tr.coeffs[:, 3:6]).max() < 1e-12
+    assert np.abs(rij - rij.swapaxes(1, 2)).max() < 1e-12
 
 
 def test_decoupled_blocks_break_tau_conservation():
@@ -666,5 +667,5 @@ def test_zero_block_is_static(rng):
 def test_component_derivative_preserves_tau_property(v, seed):
     rng = np.random.default_rng(seed)
     blk = random_block(rng)
-    d = rhs_components(PauliCoefficients.from_vector(v), blk)
-    assert abs(np.trace(d.rij)) < 1e-11
+    d = rhs_components(v, blk)
+    assert abs(d[TAU_ENTRIES].sum()) < 1e-11

@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pairbath.pauli_algebra import (AXIS_RELABEL, BIG_SIGMA, EXPANSION_REAL,
-                                    IDENT4, P_SINGLET, S_OPS, SIGMA,
-                                    PauliCoefficients, Q_TRIPLET, S_TOTAL,
+                                    IDENT4, P_SINGLET, Q_TRIPLET, S_OPS,
+                                    S_TOTAL, SIGMA,
                                     TAU_ENTRIES, X_ENTRIES, X_OFF_ENTRIES,
                                     assemble_matrices, check_appendix_algebra,
                                     check_density_matrix, convert,
                                     levi_civita, project_matrices, tau_of)
 
-from pairbath.config import ConfigError, parse_config
+from pairbath.config import ConfigError, build_initial, parse_config
 from pairbath.entanglement import concurrence
 from pairbath.generator import IntegrationAccuracyError, _check_samples
 
@@ -87,19 +87,19 @@ def test_convert_round_trip_matrix(rng):
 
 def test_convert_round_trip_coefficients(rng):
     v = rng.uniform(-0.3, 0.3, 15)
-    c = PauliCoefficients.from_vector(v)
-    back = convert(convert(c))
-    assert np.abs(back.as_vector() - v).max() < 1e-14
+    back = convert(convert(v))
+    assert np.abs(back - v).max() < 1e-14
 
 
 def test_assemble_matrices_is_convert_bit_for_bit(rng):
     # exact zeros, tiny and unit-size entries, in stacks of two shapes
     vectors = rng.uniform(-1, 1, (2, 3, 15)) * rng.choice([0.0, 1e-17, 0.3, 1.0],
                                                          (2, 3, 15))
-    mats = assemble_matrices(vectors)
+    mats = convert(vectors)
     assert mats.shape == (2, 3, 4, 4)
+    assert mats.tobytes() == assemble_matrices(vectors).tobytes()
     for idx in np.ndindex(2, 3):
-        one = convert(PauliCoefficients.from_vector(vectors[idx]))
+        one = convert(vectors[idx])
         assert one.tobytes() == mats[idx].tobytes()
         assert one.tobytes() == assemble_matrices(vectors[idx][None])[0].tobytes()
 
@@ -166,13 +166,13 @@ def test_matrix_projection_matches_trace_loop(rng):
     for mat in mats:
         coeffs, tau = _trace_projection(mat)
         ulp = np.spacing(np.abs(mat).max())
-        assert np.abs(convert(mat).as_vector() - coeffs).max() <= 8 * ulp
+        assert np.abs(convert(mat) - coeffs).max() <= 8 * ulp
         assert abs(tau_of(mat) - tau) <= 16 * ulp
     heavy = 2.5 * random_state(rng)
     coeffs, tau = _trace_projection(heavy)
     ulp = np.spacing(np.abs(heavy).max())
     with pytest.warns(UserWarning, match="trace"):
-        assert np.abs(convert(heavy).as_vector() - coeffs).max() <= 8 * ulp
+        assert np.abs(convert(heavy) - coeffs).max() <= 8 * ulp
     assert abs(tau_of(heavy) - tau) <= 16 * ulp
 
 
@@ -193,10 +193,11 @@ def test_projected_stack_is_convert_bit_for_bit(rng):
     for n in (1, 2, 7, 64, 257):
         mats = np.array([random_state(rng, rank=int(rng.integers(1, 5)))
                          for _ in range(n)])
-        coeffs = project_matrices(mats)
+        coeffs = convert(mats)
         assert coeffs.shape == (n, 15)
+        assert coeffs.tobytes() == project_matrices(mats).tobytes()
         for mat, row in zip(mats, coeffs):
-            assert convert(mat).as_vector().tobytes() == row.tobytes()
+            assert convert(mat).tobytes() == row.tobytes()
     pair = np.array([random_state(rng) for _ in range(6)]).reshape(2, 3, 4, 4)
     assert project_matrices(pair).tobytes() == project_matrices(
         pair.reshape(6, 4, 4)).reshape(2, 3, 15).tobytes()
@@ -205,13 +206,17 @@ def test_projected_stack_is_convert_bit_for_bit(rng):
 def test_convert_warns_on_bad_trace():
     with pytest.warns(UserWarning, match="trace"):
         convert(np.eye(4, dtype=complex))
+    # in a stack, one member off unit trace is enough
+    with pytest.warns(UserWarning, match=r"trace is (np\.float64\()?0\.5"):
+        convert(np.stack([np.eye(4) / 4, np.eye(4) / 8]))
 
 
 def test_convert_never_renormalizes():
     with pytest.warns(UserWarning):
         c = convert(np.eye(4, dtype=complex) / 8)
     # coefficients of a half-weight maximally mixed state are still zero
-    assert np.abs(c.as_vector()).max() < 1e-15
+    assert c.shape == (15,)
+    assert np.abs(c).max() < 1e-15
 
 
 def test_tau_values(rng):
@@ -249,13 +254,13 @@ def test_state_checks_share_one_floor(e, is_state):
     mat = np.diag([0.5 - e, 0.5, 0.0, e]).astype(complex)
     coeffs = convert(mat)
     obj = {"bath": {"lambda": [1.0, 1.0, 1.0], "B": [0.0, 0.0, 0.0]},
-           "initial": {"pauli": {"r0i": coeffs.r0i.tolist(),
-                                 "ri0": coeffs.ri0.tolist(),
-                                 "rij": coeffs.rij.tolist()}}}
+           "initial": {"pauli": {"r0i": coeffs[:3].tolist(),
+                                 "ri0": coeffs[3:6].tolist(),
+                                 "rij": coeffs[6:].reshape(3, 3).tolist()}}}
     checks = [(lambda: check_density_matrix(mat), ValueError),
               (lambda: parse_config(obj), ConfigError),
               (lambda: concurrence(mat), ValueError),
-              (lambda: _check_samples(coeffs.as_vector()[None], [0.0]),
+              (lambda: _check_samples(coeffs[None], [0.0]),
                IntegrationAccuracyError)]
     for check, error in checks:
         if is_state:
@@ -266,20 +271,24 @@ def test_state_checks_share_one_floor(e, is_state):
 
 
 def test_vector_round_trip():
-    v = np.arange(15.0)
-    c = PauliCoefficients.from_vector(v)
-    assert np.array_equal(c.as_vector(), v)
-    assert np.array_equal(c.r0i, v[:3])
-    assert np.array_equal(c.ri0, v[3:6])
-    assert np.array_equal(c.rij, v[6:].reshape(3, 3))
-    z = PauliCoefficients.zero()
-    assert np.abs(z.as_vector()).max() == 0.0
+    """A pauli config's fields come back from its coefficient vector: r0i at
+    [0:3], ri0 at [3:6], rij row-major at [6:15]."""
+    r0i, ri0 = [0.1, -0.2, 0.05], [0.0, 0.15, -0.1]
+    rij = [[-0.3, 0.02, 0.0], [0.01, -0.25, 0.04], [0.0, -0.03, -0.2]]
+    cfg = parse_config({"bath": {"lambda": [1.0, 1.0, 1.0], "B": [0.0, 0.0, 0.0]},
+                        "initial": {"pauli": {"r0i": r0i, "ri0": ri0, "rij": rij}}})
+    v = build_initial(cfg)
+    assert v.shape == (15,) and v.dtype == float
+    assert v[0:3].tolist() == r0i
+    assert v[3:6].tolist() == ri0
+    assert v[6:15].reshape(3, 3).tolist() == rij
+    assert np.array_equal(v[TAU_ENTRIES], np.diag(rij))
 
 
 @settings(max_examples=50, deadline=None)
 @given(arrays(float, 15, elements=st.floats(-0.25, 0.25)))
 def test_convert_always_hermitian_unit_trace(v):
-    mat = convert(PauliCoefficients.from_vector(v))
+    mat = convert(v)
     assert np.abs(mat - mat.conj().T).max() < 1e-14
     assert abs(np.trace(mat).real - 1.0) < 1e-14
 

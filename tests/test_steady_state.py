@@ -10,10 +10,10 @@ from hypothesis.extra.numpy import arrays
 
 from pairbath import steady_state
 from pairbath.bath import assemble_full_C, make_bath
+from pairbath.config import build_block, build_initial, parse_config
 from pairbath.generator import compile_generator, evolve, rhs_equal_blocks
-from pairbath.pauli_algebra import (P_SINGLET, PauliCoefficients, Q_TRIPLET,
-                                    TAU_ENTRIES, assemble_matrices, convert,
-                                    tau_of)
+from pairbath.pauli_algebra import (P_SINGLET, Q_TRIPLET, TAU_ENTRIES,
+                                    assemble_matrices, convert, tau_of)
 from pairbath.steady_state import (ClosedFormNotApplicable, _line_search,
                                    asymptotic_state, commutant_check,
                                    equilibrium_components,
@@ -126,8 +126,9 @@ def test_equilibrium_components_symmetric_and_stationary(rng):
     for tau in (-3.0, -1.3, 0.0, 2 * fam.R, 1.0):
         eq = equilibrium_components(tau, fam)
         c = convert(eq.state)
-        assert np.abs(c.r0i - c.ri0).max() < 1e-14
-        assert np.abs(c.rij - c.rij.T).max() < 1e-14
+        rij = c[6:].reshape(3, 3)
+        assert np.abs(c[:3] - c[3:6]).max() < 1e-14
+        assert np.abs(rij - rij.T).max() < 1e-14
         assert abs(tau_of(c) - tau) < 1e-12
         assert np.abs(rhs_equal_blocks(eq.state, blk)).max() < 1e-12
 
@@ -200,8 +201,8 @@ def test_nullspace_generic_dimension_and_match(rng):
         tau_d = d[6] + d[10] + d[14]
         base = convert(member)
         for tau in (-2.7, -0.5, 0.8):
-            vec = base.as_vector() + (tau - tau_of(base)) / tau_d * d
-            state = convert(PauliCoefficients.from_vector(vec))
+            vec = base + (tau - tau_of(base)) / tau_d * d
+            state = convert(vec)
             assert np.abs(state - equilibrium_components(tau, fam).state).max() < 1e-9
 
 
@@ -223,11 +224,11 @@ def _search_lines(rng):
     lines = []
     for _ in range(10):
         d = rng.normal(size=15)
-        lines.append((convert(random_state(rng)).as_vector(), d / np.linalg.norm(d),
+        lines.append((convert(random_state(rng)), d / np.linalg.norm(d),
                       -rng.uniform(0.1, 4), rng.uniform(0.1, 4)))
     for blk in (random_block(rng), random_offaxis_bath(rng)):
         sol = liouvillian_null_space(blk)
-        lines.append((convert(sol["full_rank_member"]).as_vector(), sol["basis"][0],
+        lines.append((convert(sol["full_rank_member"]), sol["basis"][0],
                       -1.0, 1.0))
     return lines
 
@@ -250,15 +251,14 @@ def test_line_search_probes_equal_assembled_probes(rng, monkeypatch):
         _line_search(vec, d, lo, hi)
         assert stacks and all(p.shape == (2, 4, 4) for p in stacks)
         for probe in np.concatenate(stacks):
-            t = (convert(probe).as_vector() - vec) @ d / (d @ d)
+            t = (convert(probe) - vec) @ d / (d @ d)
             assert lo - 1e-12 <= t <= hi + 1e-12
             assert np.abs(probe - assemble_matrices(vec + t * d)).max() <= 1e-14
 
 
 def test_line_search_matches_one_probe_at_a_time(rng):
     def assembled(vec, d):
-        return lambda t: np.linalg.eigvalsh(
-            convert(PauliCoefficients.from_vector(vec + t * d))).min()
+        return lambda t: np.linalg.eigvalsh(convert(vec + t * d)).min()
 
     def min_eig(v):
         return np.linalg.eigvalsh(assemble_matrices(v)).min()
@@ -367,6 +367,39 @@ def test_stationary_member_is_the_long_time_limit(rng, lam, B, dimension):
     basis = sol["basis"]
     assert basis.shape == (dimension, 15)
     assert np.abs(basis @ basis.T - np.eye(dimension)).max() <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def trajectory_row():
+    """A row of evolve's coefficients, the state build_initial makes from a
+    pauli config of that row, and the data of the row's bath."""
+    bath = {"lambda": [1.0, 0.6, 0.3], "B": [0.0, 0.0, 0.3]}
+    cfg = parse_config({"bath": bath, "initial": {"mixed": [
+        {"weight": 0.7, "werner": {"s": 0.2}},
+        {"weight": 0.3, "product": {"phi": [1, 0], "psi": [0.6, 0.8]}}]}})
+    block = build_block(cfg)
+    row = evolve(build_initial(cfg), block, t_end=2.0, dt=0.01).coeffs[-1]
+    start = build_initial(parse_config({"bath": bath, "initial": {"pauli": {
+        "r0i": row[:3].tolist(), "ri0": row[3:6].tolist(),
+        "rij": row[6:].reshape(3, 3).tolist()}}}))
+    return row, start, block, stationary_family(block), liouvillian_null_space(block)
+
+
+@pytest.mark.parametrize("name", ["evolve", "tau_of", "convert",
+                                  "asymptotic_state", "stationary_member"])
+def test_trajectory_row_is_a_state_everywhere(trajectory_row, name):
+    # the row goes back into every function that takes a state, and agrees
+    # with the same call on the build_initial state
+    row, start, block, fam, sol = trajectory_row
+    call = {"evolve": lambda x: evolve(x, block, t_end=1.0, dt=0.01).coeffs,
+            "tau_of": tau_of,
+            "convert": convert,
+            "asymptotic_state": lambda x: asymptotic_state(x, fam).state,
+            "stationary_member": lambda x: stationary_member(sol, x)}[name]
+    assert np.abs(call(row) - call(start)).max() <= 1e-12
+    if name in ("tau_of", "asymptotic_state"):
+        # these also take a matrix, and agree on the row's
+        assert np.abs(call(row) - call(convert(row))).max() <= 1e-12
 
 
 def test_nullspace_inconsistent_generator_raises(monkeypatch):
