@@ -8,8 +8,9 @@ oracle, and an entanglement-generation witness.  A state is a (15,) array
 of real coefficients (see `pauli_algebra`) or a 4x4 density matrix.
 """
 
-from .bath import (BathValidityError, KossakowskiBlock, PrincipalFrame,
-                   assemble_full_C, make_bath, principal_frame)
+from .bath import (BathValidityError, ClosedFormNotApplicable,
+                   KossakowskiBlock, PrincipalFrame, assemble_full_C,
+                   make_bath, principal_frame)
 from .config import (ConfigError, RunConfig, build_block, build_initial,
                      load_config, parse_config, product_state, run_seed,
                      serialize, werner_state)
@@ -21,16 +22,16 @@ from .generator import (IntegrationAccuracyError, Trajectory,
                         rhs_general)
 from .pauli_algebra import (check_appendix_algebra, check_density_matrix,
                             convert, levi_civita, tau_of)
-from .steady_state import (ClosedFormNotApplicable, EquilibriumState,
-                           StationaryFamily, asymptotic_state, commutant_check,
+from .steady_state import (EquilibriumState, StationaryFamily,
+                           asymptotic_state, commutant_check,
                            equilibrium_components, liouvillian_null_space,
                            stationary_family, stationary_member)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BathValidityError", "KossakowskiBlock", "PrincipalFrame",
-    "assemble_full_C", "make_bath", "principal_frame",
+    "BathValidityError", "ClosedFormNotApplicable", "KossakowskiBlock",
+    "PrincipalFrame", "assemble_full_C", "make_bath", "principal_frame",
     "ConfigError", "RunConfig", "build_block", "build_initial", "load_config",
     "parse_config", "product_state", "run_seed", "serialize", "werner_state",
     "GenerationVerdict", "concurrence", "concurrence_closed",
@@ -40,8 +41,8 @@ __all__ = [
     "rhs_components", "rhs_equal_blocks", "rhs_general",
     "check_appendix_algebra", "check_density_matrix", "convert",
     "levi_civita", "tau_of",
-    "ClosedFormNotApplicable", "EquilibriumState", "StationaryFamily",
-    "asymptotic_state", "commutant_check", "equilibrium_components",
+    "EquilibriumState", "StationaryFamily", "asymptotic_state",
+    "commutant_check", "equilibrium_components",
     "liouvillian_null_space", "stationary_family", "stationary_member",
     "__version__",
 ]

@@ -94,32 +94,30 @@ def herm_rank(block):
     return sum(e > tol for e in eigs)
 
 
+class ClosedFormNotApplicable(ValueError):
+    """The bath vector is not on a principal axis, or the bath matrix has
+    rank <= 1; use the numerical oracle."""
+
+
 @dataclass(frozen=True)
 class PrincipalFrame:
-    """The frame the closed forms assume, when a bath block has one.
+    """The frame the closed forms assume.
 
-    closed_form_applicable is True when herm has rank at least 2 and B is
-    an eigenvector of A: with u = B/|B|, ||A u - (u.A u) u|| <=
-    1e-10 max(1, max|eig A|) (always true for B = 0).
-
-    The aligned_* fields give the frame: B along axis 3 with
-    aligned_b = |B| >= 0, and the first two axes diagonalizing A on the
-    plane transverse to B with aligned_lam[0] >= aligned_lam[1];
-    aligned_lam[2] = u.A u.  For B = 0 the frame is the eigenframe of A,
-    eigenvalues descending.  They are None when not applicable.
+    B lies along axis 3 with aligned_b = |B| >= 0, and the first two axes
+    diagonalize A on the plane transverse to B with aligned_lam[0] >=
+    aligned_lam[1]; aligned_lam[2] = u.A u.  For B = 0 the frame is the
+    eigenframe of A, eigenvalues descending.  Every aligned rate is >= 0.0
+    (see `principal_frame`).
     """
 
-    closed_form_applicable: bool
-    aligned_rotation: np.ndarray | None
-    aligned_lam: np.ndarray | None
-    aligned_b: float | None
-
-
-_NOT_APPLICABLE = PrincipalFrame(False, None, None, None)
+    aligned_rotation: np.ndarray
+    aligned_lam: np.ndarray
+    aligned_b: float
 
 
 def principal_frame(block):
-    """The frame aligned with B, when B is an eigenvector of A.
+    """The frame aligned with B; raise ClosedFormNotApplicable where the
+    closed form does not apply.
 
     The closed form is refused when herm has rank <= 1 (`herm_rank`): a
     single collective jump operator leaves more conserved quantities than
@@ -131,14 +129,20 @@ def principal_frame(block):
     first), followed by u.  The steady state depends on that frame G only
     through G.T diag(.) G and the direction u, so row signs, the sign of
     det G and the basis inside a degenerate plane do not matter.
+
+    Each aligned rate is g.herm.g for a real unit row g of G (B enters herm
+    antisymmetrically), so at least herm's smallest eigenvalue, >= -1e-12
+    on every bath `make_bath` accepts: a negative rate is rounding of zero,
+    and it is clipped to 0.0.
     """
     if herm_rank(block) <= 1:
-        return _NOT_APPLICABLE
+        raise ClosedFormNotApplicable(
+            "bath matrix has rank <= 1: tau is not the only conserved quantity")
     A, B = block.A, block.B
     bnorm = float(np.linalg.norm(B))
     if bnorm == 0.0:
         w, V = np.linalg.eigh(A)
-        return PrincipalFrame(True, V[:, ::-1].T, w[::-1], 0.0)
+        return PrincipalFrame(V[:, ::-1].T, np.maximum(w[::-1], 0.0), 0.0)
     if bnorm < 1e-150:
         # B.B falls among the subnormals and keeps few digits: scale first
         bnorm = float(np.linalg.norm(B * 2.0**600)) * 2.0**-600
@@ -147,9 +151,10 @@ def principal_frame(block):
     lam_u = float(u @ Au)
     scale = max(1.0, float(np.abs(np.linalg.eigvalsh(A)).max()))
     if np.linalg.norm(Au - lam_u * u) > 1e-10 * scale:
-        return _NOT_APPLICABLE
+        raise ClosedFormNotApplicable(
+            "bath vector is not aligned with a principal axis of A")
     # the rows of E span the plane transverse to u
     E = np.linalg.svd(u[None, :])[2][1:]
     t, W = np.linalg.eigh(E @ A @ E.T)
-    return PrincipalFrame(True, np.vstack([W[:, ::-1].T @ E, u]),
-                          np.array([t[1], t[0], lam_u]), bnorm)
+    return PrincipalFrame(np.vstack([W[:, ::-1].T @ E, u]),
+                          np.maximum([t[1], t[0], lam_u], 0.0), bnorm)

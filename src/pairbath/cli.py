@@ -3,8 +3,9 @@ and the self-check suites.
 
 Exit codes: 0 ok, 1 configuration error or an output file that cannot be
 written, 2 a sampled state or a sweep row's end state outside the positive
-cone (a generator that is not completely positive), 3 closed form not
-applicable (without --numeric-only), 4 self-check failure.
+cone (a generator that is not completely positive, or a step dt*||G||_1 too
+large for the exact step's rounding), 3 closed form not applicable (without
+--numeric-only), 4 self-check failure.
 """
 
 import argparse

@@ -291,6 +291,8 @@ def _check_samples(vectors, times):
     factorization of the samples shifted by that floor clears the usual
     case; only when it fails are the eigenvalues taken to find the sample.
     """
+    cause = ("the generator is not completely positive, or dt*||G||_1 is "
+             "too large for the step to stay exact")
     finite = np.isfinite(vectors).all(axis=1)
     n_ok = len(finite) if finite.all() else int(np.argmin(finite))
     mats = assemble_matrices(vectors[:n_ok])
@@ -302,12 +304,10 @@ def _check_samples(vectors, times):
         if low.size:
             k = low[0]
             raise IntegrationAccuracyError(
-                f"state eigenvalue {min_eig[k]:.3e} at t={times[k]:.6g}; "
-                "the generator is not completely positive")
+                f"state eigenvalue {min_eig[k]:.3e} at t={times[k]:.6g}; {cause}")
     if n_ok < len(finite):
         raise IntegrationAccuracyError(
-            f"non-finite state coefficients at t={times[n_ok]:.6g}; "
-            "the generator is not completely positive")
+            f"non-finite state coefficients at t={times[n_ok]:.6g}; {cause}")
     return mats
 
 
@@ -375,11 +375,12 @@ def evolve(initial, bath, t_end=None, dt=None, sample_every=10):
     and cleared by one Cholesky factorization when every sample in it is
     a state: the first sampled state, in time order, with a non-finite
     coefficient or an eigenvalue below STATE_EIG_FLOOR (-1e-8) raises
-    IntegrationAccuracyError, which only a generator that is not
-    completely positive can cause, before any observable of its batch is
-    computed.  The observables come from the same matrices, Wootters'
-    concurrence only on samples with a negative partial-transpose
-    eigenvalue (0.0 on the others).  A batch whose samples are all
+    IntegrationAccuracyError, which a generator that is not completely
+    positive causes, or a step too large to stay exact (dt = t_end = 1e100
+    on the bath above), before any observable of its batch is computed.
+    The observables come from the same matrices, Wootters' concurrence
+    only on samples with a negative partial-transpose eigenvalue (0.0 on
+    the others).  A batch whose samples are all
     X-states about one axis, their coefficients outside that axis's X
     sector exactly 0.0, takes both from `xstate_measures` after the
     `AXIS_RELABEL` of that axis instead: a diagonal A with B on an axis,
@@ -399,7 +400,8 @@ def evolve(initial, bath, t_end=None, dt=None, sample_every=10):
         times = np.append(times, n_steps * dt)
     Y = np.empty((len(times), 16))
     Y[0] = np.append(initial, 1.0)
-    # a generator that is not completely positive can overflow: see _check_samples
+    # a non-CP generator, or a step too large to stay exact, can overflow
+    # (see _check_samples)
     with np.errstate(over="ignore", invalid="ignore"):
         step = _step_matrix(compile_generator(C), dt)
         powers = _stride_powers(np.linalg.matrix_power(step, sample_every),

@@ -14,15 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import assemble_full_C, herm_rank, principal_frame
+# ClosedFormNotApplicable is imported for callers of stationary_family
+from .bath import ClosedFormNotApplicable, assemble_full_C, principal_frame
 from .generator import compile_generator, lindblad_operators
 from .pauli_algebra import (P_SINGLET, Q_TRIPLET, S_TOTAL, TAU_ENTRIES,
                             assemble_matrices, convert, tau_of)
-
-
-class ClosedFormNotApplicable(ValueError):
-    """The bath vector is not on a principal axis, or the bath matrix has
-    rank <= 1; use the numerical oracle."""
 
 
 @dataclass(frozen=True)
@@ -54,38 +50,30 @@ class EquilibriumState:
 def stationary_family(block):
     """Scalars M, N, R and the aligned frame of the closed form.
 
-    Requires the bath vector to lie on a principal axis of A (else the
-    two smaller rates are not well defined and the closed form does not
-    apply) and the bath matrix to have rank at least 2 (else tau is not the
-    only conserved quantity; see `principal_frame`).  In the aligned frame
-    the two axes transverse to B carry the rates lam1 >= lam2.  At the
-    boundary b^2 = lam1 lam2 the family can degenerate to reduced rank (with
-    equal transverse rates it does; for lam = (1, 0.5, 0.2) the reference
-    state keeps a smallest eigenvalue of about 0.0068); a boundary reference
-    state with an eigenvalue below 1e-12 is reported as a warning.
+    `principal_frame` raises ClosedFormNotApplicable unless the bath vector
+    lies on a principal axis of A and the bath matrix has rank at least 2.
+    Its rates lam1 >= lam2 (transverse to B) and lam3 are clipped at 0.0,
+    so rank >= 2 keeps lam1 + lam2 and e2 = lam1 lam2 + lam3 (lam1 + lam2)
+    above 0.0 (either at zero leaves herm one nonzero eigenvalue): the
+    formulas never divide by zero, and at b = 0 give M = N = R = 0.0.  At
+    the boundary b^2 = lam1 lam2 the family can degenerate to reduced rank
+    (with equal transverse rates it does; for lam = (1, 0.5, 0.2) the
+    reference state keeps a smallest eigenvalue of about 0.0068); a
+    boundary reference state with an eigenvalue below 1e-12 is reported as
+    a warning.
     """
     frame = principal_frame(block)
-    if not frame.closed_form_applicable:
-        if herm_rank(block) <= 1:
-            raise ClosedFormNotApplicable(
-                "bath matrix has rank <= 1: tau is not the only conserved quantity")
-        raise ClosedFormNotApplicable(
-            "bath vector is not aligned with a principal axis of A")
     lam1, lam2, lam3 = frame.aligned_lam
     b = frame.aligned_b
 
-    saturated = False
-    if b == 0.0:
-        M = N = R = 0.0
-    else:
-        e2 = lam1 * lam2 + lam1 * lam3 + lam2 * lam3
-        M = 2 * b / (lam1 + lam2)
-        N = (lam1 - lam2) * b * b / (2 * (lam1 + lam2) * e2)
-        R = (lam1 + lam2 + 4 * lam3) * b * b / (2 * (lam1 + lam2) * e2)
-        saturated = b * b > lam1 * lam2 * (1 - 1e-12)
+    e2 = lam1 * lam2 + lam1 * lam3 + lam2 * lam3
+    M = 2 * b / (lam1 + lam2)
+    N = (lam1 - lam2) * b * b / (2 * (lam1 + lam2) * e2)
+    R = (lam1 + lam2 + 4 * lam3) * b * b / (2 * (lam1 + lam2) * e2)
 
     family = StationaryFamily(M=M, N=N, R=R, frame=frame)
-    if saturated and np.linalg.eigvalsh(family.rho0_hat).min() < 1e-12:
+    if (b * b > lam1 * lam2 * (1 - 1e-12)
+            and np.linalg.eigvalsh(family.rho0_hat).min() < 1e-12):
         warnings.warn("bath vector saturates b^2 = lam1*lam2; "
                       "reference state is rank deficient")
     return family

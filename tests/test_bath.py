@@ -10,15 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pairbath.bath import (BathValidityError, assemble_full_C, hermitian_block,
-                           herm_rank, make_bath, principal_frame)
+import pairbath
+from pairbath import steady_state
+from pairbath.bath import (BathValidityError, ClosedFormNotApplicable,
+                           assemble_full_C, hermitian_block, herm_rank,
+                           make_bath, principal_frame)
 from pairbath.generator import rhs_equal_blocks
-from pairbath.steady_state import (ClosedFormNotApplicable,
-                                   equilibrium_components,
+from pairbath.steady_state import (equilibrium_components,
                                    liouvillian_null_space, stationary_family)
 
 from conftest import (kossakowski_matrix, random_block,
                       random_offaxis_bath, random_rotation)
+
+RANK_ONE = "rank <= 1: tau is not the only conserved quantity"
+OFF_AXIS = "not aligned with a principal axis of A"
 
 
 def test_hermitian_block_matches_oracle(rng):
@@ -101,8 +106,6 @@ def test_principal_frame_generic(rng):
     for _ in range(15):
         blk = random_block(rng)
         fr = principal_frame(blk)
-        assert fr.closed_form_applicable
-
         G = fr.aligned_rotation
         assert np.abs(G @ G.T - np.eye(3)).max() < 1e-12
         assert np.abs(G @ blk.A @ G.T - np.diag(fr.aligned_lam)).max() < 1e-9
@@ -115,17 +118,13 @@ def test_principal_frame_generic(rng):
 
 def test_principal_frame_off_axis(rng):
     for _ in range(10):
-        fr = principal_frame(random_offaxis_bath(rng))
-        assert not fr.closed_form_applicable
-        assert fr.aligned_rotation is None
-        assert fr.aligned_lam is None
-        assert fr.aligned_b is None
+        with pytest.raises(ClosedFormNotApplicable, match=OFF_AXIS):
+            principal_frame(random_offaxis_bath(rng))
 
 
 def test_principal_frame_zero_B(rng):
     blk = make_bath(np.diag([3.0, 2.0, 1.0]), np.zeros(3))
     fr = principal_frame(blk)
-    assert fr.closed_form_applicable
     assert fr.aligned_b == 0.0
     assert np.allclose(fr.aligned_lam, [3, 2, 1])
 
@@ -137,7 +136,6 @@ def test_principal_frame_fully_degenerate(rng):
         direction /= np.linalg.norm(direction)
         blk = make_bath(1.3 * np.eye(3), 0.7 * direction)
         fr = principal_frame(blk)
-        assert fr.closed_form_applicable
         assert np.allclose(fr.aligned_lam, [1.3, 1.3, 1.3])
         assert np.isclose(fr.aligned_b, 0.7)
         b_vec = fr.aligned_rotation @ blk.B
@@ -154,7 +152,6 @@ def test_principal_frame_planar_degeneracy(rng):
         A = Q @ np.diag(lam) @ Q.T
         blk = make_bath(0.5 * (A + A.T), Q @ B)
         fr = principal_frame(blk)
-        assert fr.closed_form_applicable
         # B rides the degenerate rate; the leftover degenerate axis and the
         # odd one out are sorted descending
         assert np.allclose(sorted(fr.aligned_lam, reverse=True), [2, 2, 0.5])
@@ -167,17 +164,17 @@ def test_principal_frame_tiny_B_on_axis(b):
     # B.B is subnormal here; the direction of B must still come out a unit
     # vector, so the closed form applies
     fr = principal_frame(make_bath(np.eye(3), [0.0, 0.0, b]))
-    assert fr.closed_form_applicable
     assert fr.aligned_b == b
-    tilted = principal_frame(make_bath(np.diag([1.0, 0.5, 0.2]), [0.8 * b, 0.0, 0.6 * b]))
-    assert not tilted.closed_form_applicable
+    tilted = make_bath(np.diag([1.0, 0.5, 0.2]), [0.8 * b, 0.0, 0.6 * b])
+    with pytest.raises(ClosedFormNotApplicable, match=OFF_AXIS):
+        principal_frame(tilted)
 
 
 def test_planar_degeneracy_B_out_of_plane_not_applicable(rng):
     lam = np.diag([2.0, 2.0, 0.5])
     B = 0.3 * np.array([1.0, 0.0, 1.0]) / np.sqrt(2)  # mixes both clusters
-    fr = principal_frame(make_bath(lam, B))
-    assert not fr.closed_form_applicable
+    with pytest.raises(ClosedFormNotApplicable, match=OFF_AXIS):
+        principal_frame(make_bath(lam, B))
 
 
 def test_frame_deterministic(rng):
@@ -185,6 +182,38 @@ def test_frame_deterministic(rng):
     f1 = principal_frame(blk)
     f2 = principal_frame(blk)
     assert np.array_equal(f1.aligned_rotation, f2.aligned_rotation)
+
+
+def test_aligned_rates_are_clipped_at_zero(rng):
+    # a zero rate of a rotated A comes out of eigh about as often as not as
+    # -1e-17 or so; every aligned rate is g.A.g for a row g of the frame G
+    for _ in range(10):
+        Q = random_rotation(rng)
+        for b in (0.0, 0.3):
+            A = _rotated([1.0, 0.5, 0.0], Q)
+            fr = principal_frame(make_bath(A, Q @ np.array([0.0, 0.0, b])))
+            G = fr.aligned_rotation
+            assert (fr.aligned_lam >= 0.0).all(), fr.aligned_lam
+            assert np.abs(fr.aligned_lam - np.diag(G @ A @ G.T)).max() <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("b, b_scaled", [(5e-13, 0.25), (0.0, 0.0)])
+def test_rounding_rate_gives_closed_form_of_scaled_bath(b, b_scaled):
+    # make_bath accepts the rate -1e-12 as rounding of zero; unclipped, it
+    # made e2 = lam1 lam2 + lam3 (lam1 + lam2) exactly 0.0, and M, N, R NaN.
+    # Clipped, the bath is lam = (1, 1, 0) with B = (0, 0, b_scaled) scaled
+    # by 2e-12, and M, N, R, which do not scale, are that bath's bit for bit
+    tiny = stationary_family(make_bath(np.diag([2e-12, 2e-12, -1e-12]), [0.0, 0.0, b]))
+    scaled = stationary_family(make_bath(np.diag([1.0, 1.0, 0.0]), [0.0, 0.0, b_scaled]))
+    values = np.array([tiny.M, tiny.N, tiny.R])
+    assert values.tobytes() == np.array([scaled.M, scaled.N, scaled.R]).tobytes()
+    assert values.tolist() == ([0.25, 0.0, 0.03125] if b else [0.0, 0.0, 0.0])
+
+
+def test_closed_form_not_applicable_is_one_class():
+    assert steady_state.ClosedFormNotApplicable is ClosedFormNotApplicable
+    assert pairbath.ClosedFormNotApplicable is ClosedFormNotApplicable
 
 
 def _rotated(lam, Q):
@@ -235,10 +264,11 @@ def test_applicability_criterion_separated_rates(axis, rng):
     lam = [3.0, 1.0, 0.2]
     for _ in range(5):
         near = _tilted_bath(rng, lam, axis, 1e-12)
-        assert principal_frame(near).closed_form_applicable
+        assert np.isclose(principal_frame(near).aligned_lam[2], lam[axis])
         far = _tilted_bath(rng, lam, axis, 1e-6)
-        assert not principal_frame(far).closed_form_applicable
-        with pytest.raises(ClosedFormNotApplicable):
+        with pytest.raises(ClosedFormNotApplicable, match=OFF_AXIS):
+            principal_frame(far)
+        with pytest.raises(ClosedFormNotApplicable, match=OFF_AXIS):
             stationary_family(far)
 
 
@@ -249,7 +279,6 @@ def test_applicability_criterion_planar_degeneracy(rng):
     for theta in np.linspace(0.0, np.pi, 17):
         B = 0.6 * Q @ np.array([np.cos(theta), np.sin(theta), 0.0])
         fr = principal_frame(make_bath(A, B))
-        assert fr.closed_form_applicable
         G = fr.aligned_rotation
         assert np.abs(G @ A @ G.T - np.diag(fr.aligned_lam)).max() < 1e-12
         assert np.allclose(fr.aligned_lam, [2.0, 0.5, 2.0])
@@ -269,10 +298,9 @@ def test_rank_one_bath_refuses_closed_form(parts):
     herm = np.outer(v, v.conj())
     blk = _bath_of_herm(herm)
     assert np.abs(blk.herm - herm).max() <= 1e-15 and herm_rank(blk) <= 1
-    fr = principal_frame(blk)
-    assert not fr.closed_form_applicable
-    assert fr.aligned_rotation is None and fr.aligned_lam is None
-    with pytest.raises(ClosedFormNotApplicable):
+    with pytest.raises(ClosedFormNotApplicable, match=RANK_ONE):
+        principal_frame(blk)
+    with pytest.raises(ClosedFormNotApplicable, match=RANK_ONE):
         stationary_family(blk)
 
 
@@ -282,7 +310,8 @@ def test_rank_one_reproducers_refuse_closed_form(lam, b):
     # two baths with more stationary directions than the tau line
     blk = make_bath(np.diag(lam), [0.0, 0.0, b])
     assert herm_rank(blk) == 1
-    assert not principal_frame(blk).closed_form_applicable
+    with pytest.raises(ClosedFormNotApplicable, match=RANK_ONE):
+        principal_frame(blk)
     assert liouvillian_null_space(blk)["dimension"] > 1
 
 
@@ -293,4 +322,9 @@ def test_closed_form_applicable_exactly_where_null_space_is_a_line():
         for f in grid:
             blk = make_bath(np.diag(lam), [0.0, 0.0, f * np.sqrt(lam[0] * lam[1])])
             dimension = liouvillian_null_space(blk)["dimension"]
-            assert principal_frame(blk).closed_form_applicable == (dimension == 1)
+            try:
+                principal_frame(blk)
+                raises = False
+            except ClosedFormNotApplicable:
+                raises = True
+            assert raises == (dimension != 1), (lam, f)

@@ -330,10 +330,15 @@ def test_evolve_out_is_directory_exit_1(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+EXIT_2_CAUSE = (r"the generator is not completely positive, or dt\*\|\|G\|\|_1 is too "
+                r"large for the step to stay exact\n")
+
+
 def test_evolve_integration_failure_exit_2(tmp_path, capsys, monkeypatch):
-    # a valid config cannot fail positivity, since the step is exact and
-    # make_bath admits only completely positive generators; run the real
-    # propagation on a block that is not, and nothing is written
+    # make_bath admits only completely positive generators, so a valid
+    # config fails positivity only through the rounding of a huge step (see
+    # below); run the real propagation on a block that is not completely
+    # positive, and nothing is written
     bad = non_cp_block(np.eye(3), [0.0, 0.0, 1.02])
     monkeypatch.setattr(cli, "evolve",
                         lambda initial, block, **kwargs: evolve(initial, bad, **kwargs))
@@ -345,7 +350,7 @@ def test_evolve_integration_failure_exit_2(tmp_path, capsys, monkeypatch):
     assert cli.main(["evolve", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert re.fullmatch(r"integration failure: state eigenvalue -\S+ at t=0\.7; "
-                        r"the generator is not completely positive\n", err), err
+                        + EXIT_2_CAUSE, err), err
     assert not out.exists()
 
 
@@ -712,8 +717,23 @@ def test_sweep_integration_failure_exit_2(tmp_path, capsys, monkeypatch):
                      "--values", "0.3", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert re.fullmatch(r"integration failure: state eigenvalue -3\.000e-03 at "
-                        r"t=49\.0196; the generator is not completely positive\n",
-                        err), err
+                        r"t=49\.0196; " + EXIT_2_CAUSE, err), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["evolve"], ["sweep", "--param", "s", "--values", "0.2"]])
+def test_huge_step_exit_2_on_valid_config(tmp_path, capsys, command):
+    # a completely positive bath: the squarings of the step exp(dt G) at
+    # dt = 1e100 (dt*||G||_1 = 1.2e101) round the state to non-finite values
+    cfg = write_config(tmp_path, {
+        "bath": {"lambda": [1, 0.5, 0.2], "B": [0, 0, 0.3]},
+        "initial": {"werner": {"s": 0.2}},
+        "integrator": {"dt": 1e100, "t_end": 1e100}})
+    out = tmp_path / "x.csv"
+    assert cli.main([command[0], "--config", cfg, *command[1:], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"integration failure: non-finite state coefficients at "
+                        r"t=1e\+100; " + EXIT_2_CAUSE, err), err
     assert not out.exists()
 
 
