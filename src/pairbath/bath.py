@@ -106,8 +106,9 @@ class PrincipalFrame:
     B lies along axis 3 with aligned_b = |B| >= 0, and the first two axes
     diagonalize A on the plane transverse to B with aligned_lam[0] >=
     aligned_lam[1]; aligned_lam[2] = u.A u.  For B = 0 the frame is the
-    eigenframe of A, eigenvalues descending.  Every aligned rate is >= 0.0
-    (see `principal_frame`).
+    eigenframe of A, eigenvalues descending.  Every aligned rate is >= 0.0:
+    each is g.herm.g >= -1e-12 for a unit row g of the frame, so a negative
+    one is rounding of zero and is clipped (see `principal_frame`).
     """
 
     aligned_rotation: np.ndarray
