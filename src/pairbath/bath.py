@@ -28,14 +28,22 @@ def hermitian_block(A, B):
     return np.asarray(A, dtype=float) + 1j * eps_b
 
 
+def zero_floor(eigs):
+    """The one positivity rule for a bath matrix with ascending eigenvalues
+    `eigs`: e counts as zero when |e| <= floor = 1e-12 max(1, largest), and
+    the matrix is refused when an eigenvalue lies below -floor."""
+    return 1e-12 * max(1.0, float(eigs[-1]))
+
+
 @dataclass(frozen=True)
 class KossakowskiBlock:
     """Validated bath data: symmetric A, vector B, and derived quantities.
 
     herm is the Hermitian combination above, eigs its eigenvalues (ascending),
-    A_tr the trace of A.  boundary flags a singular herm: the bath sits on the
-    positivity boundary (in the aligned frame, B^2 = lambda_1 lambda_2, or a
-    vanishing eigenvalue of A).
+    A_tr the trace of A.  rank counts the eigenvalues above `zero_floor`;
+    boundary flags a singular herm: the bath sits on the positivity boundary
+    (in the aligned frame, B^2 = lambda_1 lambda_2, or a vanishing
+    eigenvalue of A).
     """
 
     A: np.ndarray
@@ -43,7 +51,14 @@ class KossakowskiBlock:
     herm: np.ndarray
     eigs: np.ndarray
     A_tr: float
-    boundary: bool
+
+    @property
+    def rank(self):
+        return int(np.count_nonzero(self.eigs > zero_floor(self.eigs)))
+
+    @property
+    def boundary(self):
+        return self.rank < 3
 
 
 def make_bath(A, B):
@@ -51,7 +66,7 @@ def make_bath(A, B):
 
     A and B must be finite.  A is symmetrized (with a warning) when its
     asymmetry is within 1e-12 and rejected beyond that; the Hermitian
-    combination must be PSD within -1e-12, otherwise the offending
+    combination must be PSD by `zero_floor`, otherwise the offending
     eigenvalue is reported.
     """
     A = np.asarray(A, dtype=float).reshape(3, 3)
@@ -66,14 +81,12 @@ def make_bath(A, B):
         A = (A + A.T) / 2
     herm = hermitian_block(A, B)
     eigs = np.linalg.eigvalsh(herm)
-    if eigs[0] < -1e-12:
+    if eigs[0] < -zero_floor(eigs):
         raise BathValidityError(
             f"bath matrix has negative eigenvalue {eigs[0]:.6e}; "
             "complete positivity fails")
-    scale = max(1.0, float(eigs[-1]))
-    boundary = bool(eigs[0] <= 1e-12 * scale)
     return KossakowskiBlock(A=A, B=B, herm=herm, eigs=eigs,
-                            A_tr=float(np.trace(A)), boundary=boundary)
+                            A_tr=float(np.trace(A)))
 
 
 def assemble_full_C(block):
@@ -81,17 +94,10 @@ def assemble_full_C(block):
 
     All four 3x3 sub-blocks are equal, so C is the 2x2 all-ones matrix
     tensored with the Hermitian block; its spectrum is {2 eig} plus three
-    zeros, hence PSD exactly when the block is.
+    zeros, so C/2 has herm's spectrum plus three zeros, and `zero_floor`
+    holds C/2 exactly where it holds the block.
     """
     return np.tile(block.herm, (2, 2))
-
-
-def herm_rank(block):
-    """Rank of block.herm: the number of its eigenvalues above
-    1e-12 max(1, largest eigenvalue), the tolerance of the boundary flag."""
-    eigs = block.eigs.tolist()
-    tol = 1e-12 * max(1.0, eigs[-1])
-    return sum(e > tol for e in eigs)
 
 
 class ClosedFormNotApplicable(ValueError):
@@ -103,12 +109,12 @@ class ClosedFormNotApplicable(ValueError):
 class PrincipalFrame:
     """The frame the closed forms assume.
 
-    B lies along axis 3 with aligned_b = |B| >= 0, and the first two axes
+    B lies along axis 3 with aligned_b = |B|, and the first two axes
     diagonalize A on the plane transverse to B with aligned_lam[0] >=
     aligned_lam[1]; aligned_lam[2] = u.A u.  For B = 0 the frame is the
-    eigenframe of A, eigenvalues descending.  Every aligned rate is >= 0.0:
-    each is g.herm.g >= -1e-12 for a unit row g of the frame, so a negative
-    one is rounding of zero and is clipped (see `principal_frame`).
+    eigenframe of A, eigenvalues descending.  Rounding past positivity is
+    clipped: every aligned rate to >= 0.0, and aligned_b to
+    <= sqrt(aligned_lam[0] aligned_lam[1]) (see `principal_frame`).
     """
 
     aligned_rotation: np.ndarray
@@ -120,7 +126,7 @@ def principal_frame(block):
     """The frame aligned with B; raise ClosedFormNotApplicable where the
     closed form does not apply.
 
-    The closed form is refused when herm has rank <= 1 (`herm_rank`): a
+    The closed form is refused when herm has rank <= 1 (`block.rank`): a
     single collective jump operator leaves more conserved quantities than
     tau, so the asymptotic state is not fixed by tau alone.  For B = 0 the
     frame is the eigendecomposition of A.  Otherwise, with u = B/|B|, the
@@ -132,11 +138,13 @@ def principal_frame(block):
     det G and the basis inside a degenerate plane do not matter.
 
     Each aligned rate is g.herm.g for a real unit row g of G (B enters herm
-    antisymmetrically), so at least herm's smallest eigenvalue, >= -1e-12
-    on every bath `make_bath` accepts: a negative rate is rounding of zero,
-    and it is clipped to 0.0.
+    antisymmetrically), so at least herm's smallest eigenvalue, >= -floor
+    (`zero_floor`) on every bath `make_bath` accepts: a negative rate is
+    rounding of zero, and it is clipped to 0.0.  So is b, to sqrt(lam1 lam2):
+    herm's aligned block [[lam1, i b], [-i b, lam2]] is PSD exactly when
+    b^2 <= lam1 lam2.
     """
-    if herm_rank(block) <= 1:
+    if block.rank <= 1:
         raise ClosedFormNotApplicable(
             "bath matrix has rank <= 1: tau is not the only conserved quantity")
     A, B = block.A, block.B
@@ -157,5 +165,6 @@ def principal_frame(block):
     # the rows of E span the plane transverse to u
     E = np.linalg.svd(u[None, :])[2][1:]
     t, W = np.linalg.eigh(E @ A @ E.T)
-    return PrincipalFrame(np.vstack([W[:, ::-1].T @ E, u]),
-                          np.maximum([t[1], t[0], lam_u], 0.0), bnorm)
+    lam = np.maximum([t[1], t[0], lam_u], 0.0)
+    return PrincipalFrame(np.vstack([W[:, ::-1].T @ E, u]), lam,
+                          min(bnorm, float(np.sqrt(lam[0] * lam[1]))))

@@ -50,7 +50,7 @@ def partial_transpose(mat):
 
 
 def _root_factor(mat):
-    """W = U diag(sqrt(w)) and U from one eigh, so that mat = W W^dagger.
+    """W = U diag(sqrt(w)) from one eigh, so that mat = W W^dagger.
 
     Raises when an eigenvalue is below STATE_EIG_FLOOR; those between it
     and 0 are clipped to 0.
@@ -58,12 +58,7 @@ def _root_factor(mat):
     w, U = np.linalg.eigh(mat)
     if (w < STATE_EIG_FLOOR).any():
         raise ValueError(f"matrix has eigenvalue {w.min():.3e}, not a state")
-    return U * np.sqrt(np.clip(w, 0.0, None))[..., None, :], U
-
-
-def _psd_sqrt(mat):
-    W, U = _root_factor(mat)
-    return W @ U.conj().swapaxes(-1, -2)
+    return U * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
 
 
 def _cholesky_or_nan(mats):
@@ -106,7 +101,7 @@ def concurrence(mat):
     pivots = np.diagonal(W, axis1=-2, axis2=-1).real ** 2
     weak = ~(pivots.min(axis=-1) >= _PIVOT_FLOOR)  # NaN for a failed factor
     if weak.any():
-        W[weak] = _root_factor(flat[weak])[0]
+        W[weak] = _root_factor(flat[weak])
     W = W.reshape(mats.shape)
     # (sigma_y x sigma_y) W: rows reversed, with signs (-1, 1, 1, -1)
     YW = W[..., ::-1, :] * _YY_SIGNS

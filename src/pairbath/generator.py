@@ -18,9 +18,8 @@ from functools import cache
 
 import numpy as np
 
-from .bath import KossakowskiBlock, assemble_full_C
-from .entanglement import (_psd_sqrt, concurrence, partial_transpose,
-                           xstate_measures)
+from .bath import KossakowskiBlock, assemble_full_C, zero_floor
+from .entanglement import concurrence, partial_transpose, xstate_measures
 from .pauli_algebra import (AXIS_RELABEL, BIG_SIGMA, EXPANSION,
                             STATE_EIG_FLOOR, TAU_ENTRIES,
                             X_OFF_ENTRIES, assemble_matrices, project_matrices)
@@ -94,7 +93,7 @@ def rhs_components(state, block):
 
 def _check_coefficient_matrix(C):
     """C as a complex array, or ValueError unless it is 6x6, finite, and
-    Hermitian and PSD within 1e-10."""
+    Hermitian within 1e-10, with C/2 PSD by `bath.zero_floor`."""
     C = np.asarray(C, dtype=complex)
     if C.shape != (6, 6):
         raise ValueError(f"coefficient matrix has shape {C.shape}, not (6, 6)")
@@ -102,9 +101,9 @@ def _check_coefficient_matrix(C):
         raise ValueError("coefficient matrix has non-finite entries")
     if np.abs(C - C.conj().T).max() > 1e-10:
         raise ValueError("coefficient matrix is not Hermitian")
-    w = np.linalg.eigvalsh(C)
-    if w.min() < -1e-10:
-        raise ValueError(f"coefficient matrix has negative eigenvalue {w.min():.3e}")
+    w = np.linalg.eigvalsh(C / 2)
+    if w[0] < -zero_floor(w):
+        raise ValueError(f"coefficient matrix has negative eigenvalue {2 * w[0]:.3e}")
     return C
 
 
@@ -182,10 +181,10 @@ def compile_generator(C):
 
 def lindblad_operators(block):
     """The three diagonal-form operators V_i = sum_j sqrt[i, j] Sigma_j, with
-    sqrt the Hermitian square root of block.herm (negative eigenvalues
-    clipped; `make_bath` keeps them >= -1e-12, above the -1e-8 floor at
-    which `_psd_sqrt` raises)."""
-    sqrt = _psd_sqrt(block.herm)
+    sqrt the Hermitian square root of block.herm, its eigenvalues clipped at
+    0.0: `make_bath` admits only those of rounding below it."""
+    w, U = np.linalg.eigh(block.herm)
+    sqrt = (U * np.sqrt(np.clip(w, 0.0, None))) @ U.conj().T
     return [sum(sqrt[i, j] * BIG_SIGMA[j] for j in range(3)) for i in range(3)]
 
 

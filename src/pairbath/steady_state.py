@@ -35,7 +35,7 @@ class StationaryFamily:
     def rho0_hat(self):
         """The maximal-rank reference state, in the input frame: the family
         member at tau = 2R, whose components are M, -N, N, R."""
-        return _member(2 * self.R, self).state
+        return equilibrium_components(2 * self.R, self).state
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,10 @@ def stationary_family(block):
     Its rates lam1 >= lam2 (transverse to B) and lam3 are clipped at 0.0,
     so rank >= 2 keeps lam1 + lam2 and e2 = lam1 lam2 + lam3 (lam1 + lam2)
     above 0.0 (either at zero leaves herm one nonzero eigenvalue): the
-    formulas never divide by zero, and at b = 0 give M = N = R = 0.0.  At
-    the boundary b^2 = lam1 lam2 the family can degenerate to reduced rank
+    formulas never divide by zero, and at b = 0 give M = N = R = 0.0.  With
+    b^2 <= lam1 lam2, as the frame clips it, 2R <= 1 follows from
+    4 lam1 lam2 <= (lam1 + lam2)^2, and M^2 <= 2R holds for any b.  At the
+    boundary b^2 = lam1 lam2 the family can degenerate to reduced rank
     (with equal transverse rates it does; for lam = (1, 0.5, 0.2) the
     reference state keeps a smallest eigenvalue of about 0.0068); a
     boundary reference state with an eigenvalue below 1e-12 is reported as
@@ -89,12 +91,6 @@ def equilibrium_components(tau, family):
     tau = float(tau)
     if not (-3.0 - 1e-12 <= tau <= 1.0 + 1e-12):
         raise ValueError(f"correlation trace {tau} outside [-3, 1]")
-    return _member(tau, family)
-
-
-def _member(tau, family):
-    # the reference state sits at tau = 2R, which rounding can put past 1 on
-    # a bath at the positivity boundary, so the range check stays outside
     M, N, R = family.M, family.N, family.R
     D = 3 + 2 * R
     rho_3 = (3 + tau) * M / D

@@ -53,7 +53,7 @@ def non_cp_block(A, B):
     herm = kossakowski_matrix(A, B)
     return KossakowskiBlock(A=np.asarray(A, dtype=float), B=np.asarray(B, dtype=float),
                             herm=herm, eigs=np.linalg.eigvalsh(herm),
-                            A_tr=float(np.trace(A).real), boundary=False)
+                            A_tr=float(np.trace(A).real))
 
 
 def oracle_superoperator(A, B):

@@ -3,6 +3,7 @@ closed form's rank test, and the stationarity of the closed-form states built
 in degenerate frames."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from hypothesis.extra.numpy import arrays
 import pairbath
 from pairbath import steady_state
 from pairbath.bath import (BathValidityError, ClosedFormNotApplicable,
-                           assemble_full_C, hermitian_block, herm_rank,
+                           assemble_full_C, hermitian_block,
                            make_bath, principal_frame)
-from pairbath.generator import rhs_equal_blocks
+from pairbath.entanglement import concurrence_closed
+from pairbath.generator import _check_coefficient_matrix, rhs_equal_blocks
 from pairbath.steady_state import (equilibrium_components,
                                    liouvillian_null_space, stationary_family)
 
@@ -88,6 +90,21 @@ def test_boundary_flag():
     assert not make_bath(np.eye(3), [0, 0, 0.99]).boundary
     assert make_bath(np.diag([1.0, 1.0, 0.0]), np.zeros(3)).boundary
     assert make_bath(np.zeros((3, 3)), np.zeros(3)).boundary
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6, 1e9])
+def test_positivity_rule_is_relative_to_the_rates_scale(scale, rng):
+    # rotated baths with rates in [0.5, 2] scale, on the boundary (f = 1) and
+    # just inside it (f = 1 - 1e-9): each is accepted, and so is its C.  Just
+    # inside, herm's smallest eigenvalue is about 2e-9 lam1 lam2 / (lam1 +
+    # lam2), in [5e-10, 2e-9] scale: a zero by the absolute floor 1e-12 below
+    # scale 1e-3, far above the floor from scale 1e-2 up
+    for f in (1.0, 1 - 1e-9):
+        for _ in range(20):
+            unit = random_block(rng, f_range=(f, f))
+            blk = make_bath(scale * unit.A, scale * unit.B)
+            assert blk.boundary == (f == 1.0 or scale < 1e-3), (scale, f, blk.eigs)
+            _check_coefficient_matrix(assemble_full_C(blk))
 
 
 def test_assemble_full_C(rng):
@@ -211,6 +228,31 @@ def test_rounding_rate_gives_closed_form_of_scaled_bath(b, b_scaled):
     assert values.tolist() == ([0.25, 0.0, 0.03125] if b else [0.0, 0.0, 0.0])
 
 
+def test_closed_forms_stay_in_range_on_rates_near_the_floor(rng):
+    # aligned rates and |B| on axis 3 at and around the floor 1e-12, rotated
+    # or not: wherever the closed form applies, b^2 <= lam1 lam2 after the
+    # clip keeps 2R <= 1 and M^2 <= 2R, which concurrence_closed checks.
+    # Unclipped, lam = (3e-12, 0, 1) with b = 2e-12 gave 2R = 1.78
+    rates = (0.0, 1e-13, -1e-13, 5e-13, -5e-13, 1e-12, -1e-12,
+             2e-12, 3e-12, 1e-11, 1.0, 2.0)
+    norms = (0.0, 1e-13, 5e-13, 1e-12, 2e-12, 3e-12, 1e-11, 1.0)
+    closed = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", "bath vector saturates")
+        for Q in (np.eye(3), random_rotation(rng), random_rotation(rng)):
+            for lam in itertools.product(rates, repeat=3):
+                A = _rotated(lam, Q)
+                for b in norms:
+                    try:
+                        fam = stationary_family(make_bath(A, Q @ [0.0, 0.0, b]))
+                    except (BathValidityError, ClosedFormNotApplicable):
+                        continue
+                    concurrence_closed(fam.M, fam.R, 0.0)
+                    closed += 1
+    assert closed > 12000
+
+
 def test_closed_form_not_applicable_is_one_class():
     assert steady_state.ClosedFormNotApplicable is ClosedFormNotApplicable
     assert pairbath.ClosedFormNotApplicable is ClosedFormNotApplicable
@@ -297,7 +339,7 @@ def test_rank_one_bath_refuses_closed_form(parts):
     v = parts[0] + 1j * parts[1]
     herm = np.outer(v, v.conj())
     blk = _bath_of_herm(herm)
-    assert np.abs(blk.herm - herm).max() <= 1e-15 and herm_rank(blk) <= 1
+    assert np.abs(blk.herm - herm).max() <= 1e-15 and blk.rank <= 1
     with pytest.raises(ClosedFormNotApplicable, match=RANK_ONE):
         principal_frame(blk)
     with pytest.raises(ClosedFormNotApplicable, match=RANK_ONE):
@@ -309,7 +351,7 @@ def test_rank_one_bath_refuses_closed_form(parts):
 def test_rank_one_reproducers_refuse_closed_form(lam, b):
     # two baths with more stationary directions than the tau line
     blk = make_bath(np.diag(lam), [0.0, 0.0, b])
-    assert herm_rank(blk) == 1
+    assert blk.rank == 1
     with pytest.raises(ClosedFormNotApplicable, match=RANK_ONE):
         principal_frame(blk)
     assert liouvillian_null_space(blk)["dimension"] > 1

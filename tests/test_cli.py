@@ -458,6 +458,45 @@ def test_steady_zero_vector(tmp_path, capsys):
     assert np.isclose(report["threshold"], -1.0)
 
 
+# |B| = sqrt(lam1 lam2) in physical units, and the same bath scaled by 1e-6
+BOUNDARY_RATES = {"lambda": [2e6, 7e5, 1e5], "B": [0, 0, 1183215.9566199232]}
+BOUNDARY_TWIN = {"lambda": [2, 0.7, 0.1], "B": [0, 0, 1.4 ** 0.5]}
+
+
+@pytest.mark.filterwarnings("error")
+def test_boundary_bath_in_physical_units(tmp_path, capsys):
+    # herm's smallest eigenvalue, -5.8e-11, is rounding at rates of 2e6
+    cfgs = [write_config(tmp_path, {"bath": bath, "initial": {"werner": {"s": 0.2}}},
+                         name=f"{i}.json")
+            for i, bath in enumerate((BOUNDARY_RATES, BOUNDARY_TWIN))]
+    reports = []
+    for cfg in cfgs:
+        assert cli.main(["steady", "--config", cfg]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    rates, twin = reports
+    assert rates["boundary"] is True
+    assert rates["nullspace"]["agreement_residual"] <= 1e-12
+    assert max(abs(rates[k] - twin[k]) for k in "MNR") <= 1e-15
+    out = tmp_path / "x.csv"
+    assert cli.main(["evolve", "--config", cfgs[0], "--out", str(out)]) == 0
+    assert cli.main(["sweep", "--config", cfgs[0], "--param", "s",
+                     "--values", "0,0.1,0.25", "--out", str(out)]) == 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags", [[], ["--numeric-only"]])
+def test_steady_clips_b_on_rates_near_the_floor(tmp_path, capsys, flags):
+    # herm has eigenvalues -1e-12, 4e-12 and 1: rank 2, with lam2 = 0, so
+    # b^2 = 4e-24 > lam1 lam2 by rounding.  b is clipped to 0; unclipped,
+    # steady exited 1 on 2R = 1.78
+    cfg = write_config(tmp_path, {
+        "bath": {"lambda": [3e-12, 0, 1], "B": [0, 0, 2e-12]},
+        "initial": {"werner": {"s": 0.2}}})
+    assert cli.main(["steady", "--config", cfg, *flags]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [report[k] for k in "MNR"] == [0.0, 0.0, 0.0]
+
+
 def test_steady_off_axis_exit_3(tmp_path, capsys):
     obj = {"bath": {"A": [[1.0, 0.3, 0.0], [0.3, 2.0, 0.0], [0.0, 0.0, 1.5]],
                     "B": [0.4, 0.1, 0.2]},

@@ -77,11 +77,13 @@ def test_family_boundary_warns():
 
 def test_family_boundary_past_tau_one_by_rounding():
     # equal small transverse rates, b^2 a rounding above lam1 lam2: a valid
-    # bath whose reference state sits at tau = 2R just past 1
+    # bath whose b is clipped to sqrt(lam1 lam2), so that its reference state
+    # sits at tau = 2R = 1 (unclipped, 2R was just past 1)
     blk = make_bath(np.diag([0.01, 0.01, 0.5]), [0, 0, 0.01 * (1 + 5e-11)])
     with pytest.warns(UserWarning, match="rank deficient"):
         fam = stationary_family(blk)
-    assert 1 + 1e-12 < 2 * fam.R < 1 + 1e-9
+    assert (fam.M, fam.N) == (1.0, 0.0)
+    assert abs(2 * fam.R - 1) <= 4 * np.finfo(float).eps
     assert abs(tau_of(fam.rho0_hat) - 2 * fam.R) < 1e-12
 
 
