@@ -4,9 +4,12 @@ The equilibrium concurrence depends on the initial state only through the
 conserved correlation trace tau, and on the bath through the stationary
 invariants (M, N, R).  With the rates fixed and the bath vector written as
 b = f * sqrt(lam1 * lam2), the plane (tau, f) splits into an entangled and
-a separable phase separated by the threshold curve tau*(f).  This script
-tabulates the closed-form equilibrium concurrence on a grid and writes one
-CSV row per grid point, plus the threshold location for each f.
+a separable phase separated by the threshold curve tau*(f), the edge of the
+entangled interval that contains tau = -3; with unequal transverse rates a
+second entangled interval reaches up to tau = 1 where 8|N| > 1 - 2R.  This
+script tabulates the closed-form equilibrium concurrence, both X-state
+channels, on a grid and writes one CSV row per grid point, plus the
+threshold location for each f.
 
 Usage:
     python scripts/phase_diagram.py --out phase_diagram.csv \
@@ -61,10 +64,10 @@ def main(argv=None):
     for f in fs:
         block = make_bath(np.diag(lam), np.array([0.0, 0.0, f * b_max]))
         fam = stationary_family(block)
-        closed = concurrence_closed(fam.M, fam.R, 0.0)
+        closed = concurrence_closed(fam.M, fam.N, fam.R, 0.0)
         thresholds.append((f, closed["threshold"]))
         for tau in taus:
-            c = concurrence_closed(fam.M, fam.R, tau)["C"]
+            c = concurrence_closed(fam.M, fam.N, fam.R, tau)["C"]
             rows.append((tau, f, c))
 
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -137,7 +137,7 @@ def cmd_steady(config_path, numeric_only=False):
                   "nullspace": nullspace,
                   "concurrence_numeric": concurrence(member)}
     else:
-        closed = concurrence_closed(fam.M, fam.R, tau0)
+        closed = concurrence_closed(fam.M, fam.N, fam.R, tau0)
         eq = equilibrium_components(tau0, fam)
         nullspace["agreement_residual"] = float(np.abs(member - eq.state).max())
         report = {"closed_form_applicable": True,
@@ -212,7 +212,7 @@ def sweep_rows(cfg, param, values):
                                    dt=row.integrator["dt"])
             except ValueError as exc:
                 raise ConfigError(f"integrator: {exc}") from None
-        closed = concurrence_closed(fam.M, fam.R, tau_of(initial))
+        closed = concurrence_closed(fam.M, fam.N, fam.R, tau_of(initial))
         with np.errstate(over="ignore", invalid="ignore"):
             x_f = M[:15] @ np.append(initial, 1.0)
         c_evolved = concurrence(_check_samples(x_f[None], [t_f])[0])

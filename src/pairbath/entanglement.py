@@ -4,11 +4,12 @@ The numerical concurrence is computed through singular values of
 W^T (sigma_y x sigma_y) W, where rho = W W^dagger.  W is rho's Cholesky
 factor; a matrix whose factorization fails or has a pivot below
 _PIVOT_FLOOR (rank-deficient and pure states, and non-states) takes
-W = U diag(sqrt(w)) from eigh instead.  Pure states, product states
-included, come within about 1e-15 of 2|ad - bc|.  The closed-form
-evaluator mirrors the asymptotic formula in (M, R); it ignores N, so it
-is exact only when 8|N| <= 1 - 2R, and it is written so that the singlet
-input returns exactly 1.0.
+W = U diag(sqrt(w)) from eigh instead, once the state rule
+`pauli_algebra.first_non_state` has accepted it.  Pure states, product
+states included, come within about 1e-15 of 2|ad - bc|.  The closed-form
+evaluator is the asymptotic formula in (M, N, R), the larger of the two
+X-state channels, and it is written so that the singlet input returns
+exactly 1.0.
 
 `partial_transpose` and `concurrence` accept one 4x4 matrix or a stack of
 shape (..., 4, 4).  One matrix gives Python floats; a stack gives arrays
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli_algebra import STATE_EIG_FLOOR, X_ENTRIES
+from .pauli_algebra import X_ENTRIES, first_non_state
 
 # sigma_y x sigma_y is real and antidiagonal; these are its entries from
 # the top row down, as a column that scales the rows of a 4 x n matrix
@@ -50,14 +51,13 @@ def partial_transpose(mat):
 
 
 def _root_factor(mat):
-    """W = U diag(sqrt(w)) from one eigh, so that mat = W W^dagger.
+    """W = U diag(sqrt(w)) from one eigh, so that mat = W W^dagger up to
+    the clip: negative eigenvalues are set to 0.
 
-    Raises when an eigenvalue is below STATE_EIG_FLOOR; those between it
-    and 0 are clipped to 0.
+    It does not decide whether mat is a state; `concurrence` asks
+    `first_non_state` first.
     """
     w, U = np.linalg.eigh(mat)
-    if (w < STATE_EIG_FLOOR).any():
-        raise ValueError(f"matrix has eigenvalue {w.min():.3e}, not a state")
     return U * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
 
 
@@ -88,9 +88,11 @@ def concurrence(mat):
     Cholesky factor of rho.  A matrix whose own factorization fails, or
     whose smallest pivot L_kk^2 is below _PIVOT_FLOOR, takes
     W = U diag(sqrt(w)) from eigh instead: one eigh call on exactly those
-    members, which raises when one of them is not a state.  The route is
-    chosen per matrix, so a stack gives each matrix's own value bit for
-    bit.  The singular-value route avoids the square-root-of-noisy-
+    members, once the state rule `first_non_state` has accepted them; a
+    ValueError names the first it refuses.  A kept Cholesky factor
+    certifies a state already, so the rule runs only off that route.  The
+    route is chosen per matrix, so a stack gives each matrix's own value
+    bit for bit.  The singular-value route avoids the square-root-of-noisy-
     eigenvalue amplification near zero modes, and no matrix square root is
     formed.  A pure state a|00> + b|01> + c|10> + d|11> returns
     2|ad - bc| to about 1e-15.  An empty stack gives an empty array.
@@ -101,6 +103,8 @@ def concurrence(mat):
     pivots = np.diagonal(W, axis1=-2, axis2=-1).real ** 2
     weak = ~(pivots.min(axis=-1) >= _PIVOT_FLOOR)  # NaN for a failed factor
     if weak.any():
+        if (bad := first_non_state(flat[weak])) is not None:
+            raise ValueError(f"matrix has eigenvalue {bad[1]:.3e}, not a state")
         W[weak] = _root_factor(flat[weak])
     W = W.reshape(mats.shape)
     # (sigma_y x sigma_y) W: rows reversed, with signs (-1, 1, 1, -1)
@@ -142,17 +146,22 @@ def xstate_measures(vectors):
     return _float_or_array(min_pt), _float_or_array(c)
 
 
-def concurrence_closed(M, R, tau):
+def concurrence_closed(M, N, R, tau):
     """Asymptotic concurrence over the commuting stationary family.
 
-    The formula ignores N.  It is exact when 8|N| <= 1 - 2R (N = 0, equal
-    transverse rates, is one such case); outside that range it can be wrong:
-    for lambda = (20, 0.5, 0.01), |B| = 0.99 sqrt(lam1 lam2) and tau = 1 it
-    returns 0, while Wootters' concurrence of the closed-form equilibrium is
-    0.9127.  Returns the gap Delta, the concurrence, and the threshold value
-    of tau below which the asymptotic state is entangled.  The affine form
-    of the numerator makes C exactly 1 at the singlet point tau = -3.  Each
-    range check below allows 1e-9 of rounding.
+    In the aligned frame the equilibrium is an X-state, and Yu & Eberly's
+    formula (QIC 7, 459, 2007) gives its concurrence as C = max(0, C1, C2),
+    two affine functions of tau over 2D, D = 3 + 2R:
+
+        C2 = (2(2R - tau) - Delta (3 + tau)) / (2D)      (the rho_23 channel)
+        C1 = (4|N|(3 + tau) + (1 + 2R) tau - (3 - 2R)) / (2D)   (rho_14)
+
+    with the gap Delta = sqrt((1 - 2R)^2 + 4(2R - M^2)).  C1 > 0 somewhere
+    in tau <= 1 only when 8|N| > 1 - 2R; for N = 0 C is C2 alone.  Returns
+    Delta, C, and the threshold: the value of tau below which C2 > 0, the
+    edge of the entangled interval that contains tau = -3.  The affine form
+    of the numerators makes C exactly 1 at the singlet point tau = -3.
+    Each range check below allows 1e-9 of rounding.
     """
     tol = 1e-9
     if not (-tol <= 2 * R <= 1 + tol):
@@ -163,7 +172,9 @@ def concurrence_closed(M, R, tau):
         raise ValueError(f"correlation trace {tau} outside [-3, 1]")
     # M^2 may exceed 2R by rounding (accepted within tol); that excess is 0
     Delta = np.sqrt((1 - 2 * R) ** 2 + 4 * max(2 * R - M * M, 0.0))
-    C = max(0.0, (2 * (2 * R - tau) - Delta * (3 + tau)) / (2 * (3 + 2 * R)))
+    D2 = 2 * (3 + 2 * R)
+    C = max(0.0, (4 * abs(N) * (3 + tau) + (1 + 2 * R) * tau - (3 - 2 * R)) / D2,
+            (2 * (2 * R - tau) - Delta * (3 + tau)) / D2)
     threshold = (4 * R - 3 * Delta) / (2 + Delta)
     return {"Delta": float(Delta), "C": float(C), "threshold": float(threshold)}
 

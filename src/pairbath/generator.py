@@ -20,9 +20,9 @@ import numpy as np
 
 from .bath import KossakowskiBlock, assemble_full_C, zero_floor
 from .entanglement import concurrence, partial_transpose, xstate_measures
-from .pauli_algebra import (AXIS_RELABEL, BIG_SIGMA, EXPANSION,
-                            STATE_EIG_FLOOR, TAU_ENTRIES,
-                            X_OFF_ENTRIES, assemble_matrices, project_matrices)
+from .pauli_algebra import (AXIS_RELABEL, BIG_SIGMA, EXPANSION, TAU_ENTRIES,
+                            X_OFF_ENTRIES, assemble_matrices, first_non_state,
+                            project_matrices)
 
 # cached products Sigma_i Sigma_j for the anticommutator terms
 _SIG_PROD = [[BIG_SIGMA[i] @ BIG_SIGMA[j] for j in range(3)] for i in range(3)]
@@ -285,25 +285,19 @@ def _check_samples(vectors, times):
     """The samples' density matrices, `assemble_matrices(vectors)`; raise on
     the first sample, in time order, that is not a state.
 
-    A sample fails with a non-finite coefficient or an eigenvalue below
-    STATE_EIG_FLOOR, the floor `concurrence` accepts.  One batched Cholesky
-    factorization of the samples shifted by that floor clears the usual
-    case; only when it fails are the eigenvalues taken to find the sample.
+    A sample fails with a non-finite coefficient, or when the state rule
+    `pauli_algebra.first_non_state`, by which `concurrence` decides too,
+    refuses it.
     """
     cause = ("the generator is not completely positive, or dt*||G||_1 is "
              "too large for the step to stay exact")
     finite = np.isfinite(vectors).all(axis=1)
     n_ok = len(finite) if finite.all() else int(np.argmin(finite))
     mats = assemble_matrices(vectors[:n_ok])
-    try:
-        np.linalg.cholesky(mats - STATE_EIG_FLOOR * np.eye(4))
-    except np.linalg.LinAlgError:
-        min_eig = np.linalg.eigvalsh(mats).min(axis=-1)
-        low = np.flatnonzero(min_eig < STATE_EIG_FLOOR)
-        if low.size:
-            k = low[0]
-            raise IntegrationAccuracyError(
-                f"state eigenvalue {min_eig[k]:.3e} at t={times[k]:.6g}; {cause}")
+    if (bad := first_non_state(mats)) is not None:
+        k, min_eig = bad
+        raise IntegrationAccuracyError(
+            f"state eigenvalue {min_eig:.3e} at t={times[k]:.6g}; {cause}")
     if n_ok < len(finite):
         raise IntegrationAccuracyError(
             f"non-finite state coefficients at t={times[n_ok]:.6g}; {cause}")
@@ -371,10 +365,10 @@ def evolve(initial, bath, t_end=None, dt=None, sample_every=10):
     STRIDE_BLOCK samples is one product with the last state of the block
     before.  All samples are propagated first, then checked and measured
     in batches of RECORD_CHUNK, each assembled once by `_check_samples`
-    and cleared by one Cholesky factorization when every sample in it is
-    a state: the first sampled state, in time order, with a non-finite
-    coefficient or an eigenvalue below STATE_EIG_FLOOR (-1e-8) raises
-    IntegrationAccuracyError, which a generator that is not completely
+    and checked by the state rule `first_non_state`: the first sampled
+    state, in time order, with a non-finite coefficient or an eigenvalue
+    below the rule's floor, -1e-8, raises IntegrationAccuracyError, which
+    a generator that is not completely
     positive causes, or a step too large to stay exact (dt = t_end = 1e100
     on the bath above), before any observable of its batch is computed.
     The observables come from the same matrices, Wootters' concurrence

@@ -132,14 +132,36 @@ def tau_of(state):
     return float(x[TAU_ENTRIES].sum())
 
 
-# Smallest eigenvalue a state may show from rounding alone; every state
-# check (`check_density_matrix`, `concurrence`, `evolve`) rejects below it.
+# Smallest eigenvalue a state may show from rounding alone; read only by
+# `first_non_state`, the one state rule.
 STATE_EIG_FLOOR = -1e-8
+
+
+def first_non_state(mats):
+    """(k, smallest eigenvalue of mats[k]) for the first member of an
+    (n, 4, 4) Hermitian stack with an eigenvalue below STATE_EIG_FLOOR, or
+    None when every member is a state.
+
+    This is the one state rule: `check_density_matrix`, the sample check of
+    `evolve` and `concurrence` all decide by it.  One batched Cholesky
+    factorization of the stack shifted by the floor clears the usual case;
+    only when it fails are the eigenvalues taken to find the member.  A
+    stack it accepts, it accepts in every part, so a later check of some of
+    its members by this rule cannot refuse them.
+    """
+    try:
+        np.linalg.cholesky(mats - STATE_EIG_FLOOR * np.eye(4))
+    except np.linalg.LinAlgError:
+        min_eig = np.linalg.eigvalsh(mats).min(axis=-1)
+        low = np.flatnonzero(min_eig < STATE_EIG_FLOOR)
+        if low.size:
+            return int(low[0]), float(min_eig[low[0]])
+    return None
 
 
 def check_density_matrix(mat):
     """Raise ValueError unless mat is Hermitian and unit-trace within 1e-12
-    and has no eigenvalue below STATE_EIG_FLOOR."""
+    and a state by `first_non_state`."""
     mat = np.asarray(mat, dtype=complex)
     herm_dev = np.abs(mat - mat.conj().T).max()
     if herm_dev > 1e-12:
@@ -147,9 +169,8 @@ def check_density_matrix(mat):
     trace_dev = abs(np.trace(mat).real - 1.0)
     if trace_dev > 1e-12:
         raise ValueError(f"trace deviates from 1 by {trace_dev:.3e}")
-    min_eig = np.linalg.eigvalsh(mat).min()
-    if min_eig < STATE_EIG_FLOOR:
-        raise ValueError(f"negative eigenvalue {min_eig:.3e}")
+    if (bad := first_non_state(mat[None])) is not None:
+        raise ValueError(f"negative eigenvalue {bad[1]:.3e}")
     return mat
 
 

@@ -152,6 +152,18 @@ def random_psd_C(rng, rank):
     return 3.0 * C / np.trace(C).real
 
 
+def floor_matrices(rng, n):
+    """n Hermitian unit-trace matrices with eigenvalues (0.7 + 1e-8 + d,
+    0.2, 0.1, -1e-8 - d), d uniform in [0, 6e-17), under random unitaries:
+    the smallest eigenvalue lies within rounding below the state floor
+    -1e-8, where two ways of deciding can part."""
+    d = rng.uniform(0.0, 6e-17, n)
+    w = np.stack([0.7 + 1e-8 + d, np.full(n, 0.2), np.full(n, 0.1), -1e-8 - d], axis=1)
+    H = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+    U = np.linalg.eigh(H + H.conj().swapaxes(1, 2))[1]
+    return (U * w[:, None, :]) @ U.conj().swapaxes(1, 2)
+
+
 def random_ket(rng, dim=2):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)

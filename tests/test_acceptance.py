@@ -126,13 +126,13 @@ def test_criterion_06_concurrence_cross_check():
             # under -1.25) so the nonzero branch is exercised too
             w = rng.uniform(0.6, 0.9)
             rho0 = (1 - w) * rho0 + w * werner_state(0)
-        closed = concurrence_closed(fam.M, fam.R, tau_of(rho0))["C"]
+        closed = concurrence_closed(fam.M, fam.N, fam.R, tau_of(rho0))["C"]
         entangled += closed > 0
         tr = evolve(rho0, blk, dt=0.005 / rate_scale(blk), sample_every=100000)
         wootters = concurrence(assemble_matrices(tr.coeffs[-1]))
         worst = max(worst, abs(wootters - closed))
 
-    exact = all(concurrence_closed(fam.M, fam.R, -3.0)["C"] == 1.0
+    exact = all(concurrence_closed(fam.M, fam.N, fam.R, -3.0)["C"] == 1.0
                 for _, fam in closed_form_exact_ensemble(rng, 5))
 
     ok = worst < 1e-6 and exact and entangled >= 5
@@ -187,7 +187,7 @@ def test_criterion_08_entanglement_generation():
         tau0 = tau_of(start)
         final = asymptotic_state(start, fam0)
         sep_ok = sep_ok and tau0 >= -1 - 1e-12 \
-            and concurrence_closed(0.0, 0.0, tau0)["C"] == 0.0 \
+            and concurrence_closed(0.0, 0.0, 0.0, tau0)["C"] == 0.0 \
             and concurrence(final.state) < 1e-7
 
     ok = confirmed == 20 and worst_pt < 0 and sep_ok
@@ -234,7 +234,7 @@ def test_criterion_10_isolated_fixed_point():
         worst_fix = max(worst_fix, trace_distance(
             asymptotic_state(singlet, fam).state, p_matrix))
         for s in np.linspace(0.01, 0.74, 8):
-            c_closed = concurrence_closed(fam.M, fam.R, 4 * s - 3)["C"]
+            c_closed = concurrence_closed(fam.M, fam.N, fam.R, 4 * s - 3)["C"]
             c_num = concurrence(asymptotic_state(werner_state(s), fam).state)
             below_one = below_one and c_closed < 1.0 and c_num < 1.0
     ok = worst_fix < 1e-12 and below_one

@@ -248,7 +248,7 @@ def test_closed_forms_stay_in_range_on_rates_near_the_floor(rng):
                         fam = stationary_family(make_bath(A, Q @ [0.0, 0.0, b]))
                     except (BathValidityError, ClosedFormNotApplicable):
                         continue
-                    concurrence_closed(fam.M, fam.R, 0.0)
+                    concurrence_closed(fam.M, fam.N, fam.R, 0.0)
                     closed += 1
     assert closed > 12000
 

@@ -12,17 +12,21 @@ import pytest
 
 import pairbath.pauli_algebra
 import pairbath.selfcheck
-from pairbath import cli
+from pairbath import cli, generator
 from pairbath.bath import make_bath
 from pairbath.config import (ConfigError, build_block, build_initial,
                              load_config, parse_config, run_seed, serialize,
                              werner_state)
-from pairbath.entanglement import concurrence, concurrence_closed
+from pairbath.entanglement import (concurrence, concurrence_closed,
+                                   partial_transpose)
 from pairbath.generator import _generator_tensor, evolve, final_map
-from pairbath.pauli_algebra import TAU_ENTRIES, convert, tau_of
+from pairbath.pauli_algebra import (STATE_EIG_FLOOR, TAU_ENTRIES,
+                                    assemble_matrices, convert,
+                                    first_non_state, project_matrices, tau_of)
 from pairbath.steady_state import stationary_family
 
-from conftest import EYE2, PAULI, non_cp_block, oracle_propagate
+from conftest import (EYE2, PAULI, floor_matrices, non_cp_block,
+                      oracle_propagate)
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -736,7 +740,7 @@ def test_sweep_rows_match_direct_evolve(tmp_path, param):
     for value, c_closed, c_evolved, delta_c in rows:
         initial, block = _hand_built_row(cfg, param, value)
         fam = stationary_family(block)
-        assert c_closed == concurrence_closed(fam.M, fam.R, tau_of(initial))["C"]
+        assert c_closed == concurrence_closed(fam.M, fam.N, fam.R, tau_of(initial))["C"]
         _assert_final_concurrence(c_evolved, initial, block, cfg.integrator)
         if param == "tau":
             assert delta_c is None
@@ -758,6 +762,39 @@ def test_sweep_integration_failure_exit_2(tmp_path, capsys, monkeypatch):
     assert re.fullmatch(r"integration failure: state eigenvalue -3\.000e-03 at "
                         r"t=49\.0196; " + EXIT_2_CAUSE, err), err
     assert not out.exists()
+
+
+def _floor_state(accepted):
+    """The first floor state, with a negative partial transpose, that the
+    state rule accepts although an eigenvalue lies below the floor, or the
+    first it refuses."""
+    for v in project_matrices(floor_matrices(np.random.default_rng(5), 100)):
+        mat = assemble_matrices(v)
+        if ((first_non_state(mat[None]) is None) == accepted
+                and np.linalg.eigvalsh(mat)[0] < STATE_EIG_FLOOR
+                and partial_transpose(mat)[1] < 0):
+            return v
+    raise AssertionError("no floor state of that kind in 100 draws")
+
+
+@pytest.mark.parametrize("accepted", [True, False], ids=["accepted", "refused"])
+@pytest.mark.parametrize("command", [["evolve"], ["sweep", "--param", "s", "--values", "0.2"]])
+def test_floor_state_exit_follows_the_state_rule(tmp_path, capsys, monkeypatch,
+                                                 command, accepted):
+    # every start is mapped onto one state at the floor: the sample check and
+    # concurrence decide by one rule, so evolve and sweep exit 0 when it
+    # accepts the state and 2 when it refuses it, never 1 or with a traceback
+    to_floor = np.zeros((16, 16))
+    to_floor[:15, 15] = _floor_state(accepted)
+    to_floor[15, 15] = 1.0
+    monkeypatch.setattr(cli, "final_map", lambda block, **kwargs: (to_floor, 50.0))
+    monkeypatch.setattr(generator, "_step_matrix", lambda G, dt: to_floor)
+    cfg = write_config(tmp_path, {**BASE, "initial": {"werner": {"s": 0.2}}})
+    out = tmp_path / "x.csv"
+    code = cli.main([command[0], "--config", cfg, *command[1:], "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == (0 if accepted else 2), err
+    assert out.exists() == accepted
 
 
 @pytest.mark.parametrize("command", [["evolve"], ["sweep", "--param", "s", "--values", "0.2"]])

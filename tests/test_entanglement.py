@@ -10,8 +10,9 @@ from pairbath.entanglement import (concurrence, concurrence_closed,
                                    generation_test, partial_transpose,
                                    xstate_measures)
 from pairbath.generator import evolve
-from pairbath.pauli_algebra import (P_SINGLET, X_OFF_ENTRIES, convert,
-                                    project_matrices)
+from pairbath.pauli_algebra import (AXIS_RELABEL, P_SINGLET, X_OFF_ENTRIES,
+                                    convert, project_matrices)
+from pairbath.steady_state import equilibrium_components, stationary_family
 
 from conftest import (random_block, random_ket, random_state,
                       random_xstate, xstate_concurrence)
@@ -229,13 +230,13 @@ def test_ppt_iff_concurrence(rng):
 
 
 def test_closed_form_examples():
-    out = concurrence_closed(0.5, 0.125, 1.0)
+    out = concurrence_closed(0.5, 0.0, 0.125, 1.0)
     assert np.isclose(out["Delta"], 0.75)
     assert np.isclose(out["threshold"], -7.0 / 11.0)
     assert out["C"] == 0.0  # tau above threshold
 
     # M = R = 0: gap 1, threshold -1, C = -(1 + tau)/2 below it
-    out = concurrence_closed(0.0, 0.0, -2.0)
+    out = concurrence_closed(0.0, 0.0, 0.0, -2.0)
     assert np.isclose(out["Delta"], 1.0)
     assert np.isclose(out["threshold"], -1.0)
     assert np.isclose(out["C"], 0.5)
@@ -245,23 +246,23 @@ def test_closed_form_singlet_is_exactly_one(rng):
     for _ in range(50):
         R = rng.uniform(0.0, 0.5)
         M = rng.uniform(0, 1) * np.sqrt(2 * R)
-        assert concurrence_closed(M, R, -3.0)["C"] == 1.0
+        assert concurrence_closed(M, 0.0, R, -3.0)["C"] == 1.0
 
 
 def test_closed_form_validation():
     with pytest.raises(ValueError, match="2R"):
-        concurrence_closed(0.0, 0.7, 0.0)
+        concurrence_closed(0.0, 0.0, 0.7, 0.0)
     with pytest.raises(ValueError, match="M"):
-        concurrence_closed(0.9, 0.1, 0.0)
+        concurrence_closed(0.9, 0.0, 0.1, 0.0)
     with pytest.raises(ValueError, match="trace"):
-        concurrence_closed(0.1, 0.1, 1.5)
+        concurrence_closed(0.1, 0.0, 0.1, 1.5)
 
 
 def test_closed_form_affine_below_threshold():
     M, R = 0.3, 0.2
-    thr = concurrence_closed(M, R, -3.0)["threshold"]
+    thr = concurrence_closed(M, 0.0, R, -3.0)["threshold"]
     taus = np.array([-3.0, 0.5 * (-3.0 + thr), thr])
-    vals = np.array([concurrence_closed(M, R, t)["C"] for t in taus])
+    vals = np.array([concurrence_closed(M, 0.0, R, t)["C"] for t in taus])
     # three-point collinearity at machine precision
     slope1 = (vals[1] - vals[0]) / (taus[1] - taus[0])
     slope2 = (vals[2] - vals[1]) / (taus[2] - taus[1])
@@ -270,9 +271,54 @@ def test_closed_form_affine_below_threshold():
 
 def test_closed_form_threshold_is_the_zero():
     for M, R in [(0.0, 0.1), (0.4, 0.3), (0.2, 0.45)]:
-        thr = concurrence_closed(M, R, 0.0)["threshold"]
-        assert concurrence_closed(M, R, thr + 1e-9)["C"] == 0.0
-        assert concurrence_closed(M, R, thr - 1e-6)["C"] > 0.0
+        thr = concurrence_closed(M, 0.0, R, 0.0)["threshold"]
+        assert concurrence_closed(M, 0.0, R, thr + 1e-9)["C"] == 0.0
+        assert concurrence_closed(M, 0.0, R, thr - 1e-6)["C"] > 0.0
+
+
+def _aligned_family(lam, axis, b):
+    """Stationary family of A = diag(lam) with the bath vector b e_axis."""
+    B = np.zeros(3)
+    B[axis] = b
+    return stationary_family(make_bath(np.diag(lam), B))
+
+
+@pytest.mark.parametrize("lam, f, expected", [
+    ((20.0, 0.5, 0.01), 0.99, (0.4345546043259, 0.9127394724345)),
+    ((1.0, 0.00668, 1e-4), 0.99985, (0.4787625013582, 0.9716833351443)),
+])
+def test_closed_form_reads_the_rho14_channel(lam, f, expected):
+    # past 8|N| = 1 - 2R the rho_14 channel carries the concurrence at
+    # tau = 0 and tau = 1, where the rho_23 channel reads 0
+    fam = _aligned_family(lam, 2, f * np.sqrt(lam[0] * lam[1]))
+    assert 8 * abs(fam.N) > 1 - 2 * fam.R
+    for tau, c in zip((0.0, 1.0), expected):
+        closed = concurrence_closed(fam.M, fam.N, fam.R, tau)["C"]
+        assert abs(closed - c) <= 1e-12
+        assert abs(closed - concurrence(equilibrium_components(tau, fam).state)) <= 1e-12
+
+
+def test_closed_form_matches_wootters_on_aligned_baths(rng):
+    """Diagonal A with rates log-uniform over six decades, B on a random axis
+    with a random sign, |B| = f sqrt(product of the transverse rates): f =
+    1 - 10^u, u uniform in (-6, 0), on every other draw, f uniform in (0, 1)
+    on the rest.  The closed form matches Wootters' concurrence and the
+    X-state closed form of the equilibrium at 21 values of tau."""
+    n, past, worst = 200, 0, 0.0
+    for k in range(n):
+        lam = 10.0 ** rng.uniform(-3.0, 3.0, 3)
+        axis = int(rng.integers(3))
+        f = 1 - 10.0 ** rng.uniform(-6.0, 0.0) if k % 2 else rng.uniform(0.0, 1.0)
+        transverse = np.prod(np.delete(lam, axis))
+        fam = _aligned_family(lam, axis, rng.choice([-1.0, 1.0]) * f * np.sqrt(transverse))
+        past += 8 * abs(fam.N) > 1 - 2 * fam.R
+        for tau in np.linspace(-3.0, 1.0, 21):
+            closed = concurrence_closed(fam.M, fam.N, fam.R, tau)["C"]
+            state = equilibrium_components(tau, fam).state
+            x_c = xstate_measures(project_matrices(state)[AXIS_RELABEL[axis]])[1]
+            worst = max(worst, abs(closed - concurrence(state)), abs(closed - x_c))
+    assert past >= n // 4
+    assert worst <= 1e-11, worst
 
 
 def test_generation_aligned_ground_pair_is_inconclusive():
@@ -344,7 +390,7 @@ def test_generation_predicts_short_time_negativity(rng):
 def test_closed_form_delta_at_rounded_boundary():
     # sqrt(2R)**2 exceeds 2R by one ulp here; Delta must not dip below |1 - 2R|
     R = 0.46875
-    out = concurrence_closed(np.sqrt(2 * R), R, 0.0)
+    out = concurrence_closed(np.sqrt(2 * R), 0.0, R, 0.0)
     assert out["Delta"] == abs(1 - 2 * R)
 
 
@@ -352,7 +398,7 @@ def test_closed_form_delta_at_rounded_boundary():
 @given(st.floats(0.0, 0.5), st.floats(0.0, 1.0), st.floats(-3.0, 1.0))
 def test_closed_form_range_property(R, m_frac, tau):
     M = m_frac * np.sqrt(2 * R)
-    out = concurrence_closed(M, R, tau)
+    out = concurrence_closed(M, 0.0, R, tau)
     assert 0.0 <= out["C"] <= 1.0
     assert out["Delta"] >= abs(1 - 2 * R) - 1e-15
     assert -3.0 <= out["threshold"] <= 1.0 + 1e-12

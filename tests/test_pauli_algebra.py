@@ -12,13 +12,14 @@ from pairbath.pauli_algebra import (AXIS_RELABEL, BIG_SIGMA, EXPANSION_REAL,
                                     TAU_ENTRIES, X_ENTRIES, X_OFF_ENTRIES,
                                     assemble_matrices, check_appendix_algebra,
                                     check_density_matrix, convert,
-                                    levi_civita, project_matrices, tau_of)
+                                    first_non_state, levi_civita,
+                                    project_matrices, tau_of)
 
 from pairbath.config import ConfigError, build_initial, parse_config
 from pairbath.entanglement import concurrence
 from pairbath.generator import IntegrationAccuracyError, _check_samples
 
-from conftest import COLLECTIVE, EYE2, PAULI, random_state
+from conftest import COLLECTIVE, EYE2, PAULI, floor_matrices, random_state
 
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 
@@ -268,6 +269,34 @@ def test_state_checks_share_one_floor(e, is_state):
         else:
             with pytest.raises(error):
                 check()
+
+
+def _refuses(check, error):
+    try:
+        check()
+    except error:
+        return True
+    return False
+
+
+def test_state_checks_agree_at_the_floor(rng):
+    """On states whose smallest eigenvalue lies within 6e-17 below the floor
+    the density-matrix check, the integrator's sample check and concurrence
+    decide as the state rule does, member by member; the rule accepts some
+    and refuses others."""
+    disagree, decisions = 0, set()
+    for v in project_matrices(floor_matrices(rng, 2000)):
+        mat = assemble_matrices(v)
+        refused = first_non_state(mat[None]) is not None
+        verdicts = {refused,
+                    _refuses(lambda: check_density_matrix(mat), ValueError),
+                    _refuses(lambda: _check_samples(v[None], [0.0]),
+                             IntegrationAccuracyError),
+                    _refuses(lambda: concurrence(mat), ValueError)}
+        disagree += len(verdicts) > 1
+        decisions.add(refused)
+    assert disagree == 0, f"{disagree} of 2000 floor states decided two ways"
+    assert decisions == {True, False}
 
 
 def test_vector_round_trip():
